@@ -389,10 +389,17 @@ class ExactBoundInstance:
 
 def exact_bound_instance(box: Box, params: FKParams, n: int,
                          side: int | None = None,
-                         surrogate: str = "boundary") -> ExactBoundInstance:
+                         surrogate: str = "boundary",
+                         dist: "oracle.ExactDistribution | None" = None
+                         ) -> ExactBoundInstance:
     """Evaluate the TV inequality as a theorem instance: all coefficients,
-    both process laws and the distance computed by enumeration."""
-    dist = oracle.enumerate_measure(box, params)
+    both process laws and the distance computed by enumeration.
+
+    ``dist``, when given, is the enumerated measure of (box, params), used
+    instead of enumerating it again.
+    """
+    if dist is None:
+        dist = oracle.enumerate_measure(box, params)
     b1, b2, px = exact_b1_b2(dist, n, side, surrogate)
     b3 = compute_b3_exact(dist, n, side, "plain", surrogate).lo
     law_x = oracle.exact_point_process_law(dist, n, "plain", surrogate)

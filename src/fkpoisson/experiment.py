@@ -309,7 +309,8 @@ def _run_oracle(config, seed_seq, out_dir):
     dist = oracle.enumerate_measure(box, params)
     side = config.get("neighborhood_side")
     surrogate = config.get("surrogate", "boundary")
-    inst = chenstein.exact_bound_instance(box, params, n, side, surrogate)
+    inst = chenstein.exact_bound_instance(box, params, n, side, surrogate,
+                                          dist)
     conj = []
     sites = list(box.sites)
     for i in range(len(sites)):

@@ -398,34 +398,54 @@ def config_to_bytes(config: BondConfig, params: FKParams,
 
 
 def config_from_bytes(buf: bytes) -> tuple[BondConfig, FKParams, dict]:
+    """Inverse of ``config_to_bytes``.  Raises ValueError unless ``buf`` is
+    exactly one well-formed record: a short buffer or trailing bytes are
+    rejected, never zero-filled or ignored."""
     if buf[:4] != _MAGIC:
         raise ValueError("bad magic; not a serialized configuration")
     off = 4
-    (d,) = struct.unpack_from("<B", buf, off); off += 1
-    lower = struct.unpack_from(f"<{d}q", buf, off); off += 8 * d
-    sides = struct.unpack_from(f"<{d}q", buf, off); off += 8 * d
-    p, q = struct.unpack_from("<2d", buf, off); off += 16
-    (btag,) = struct.unpack_from("<B", buf, off); off += 1
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(buf):
+            raise ValueError(f"configuration record truncated at byte "
+                             f"{len(buf)}; the header needs {off + size}")
+        values = struct.unpack_from(fmt, buf, off)
+        off += size
+        return values
+
+    (d,) = take("<B")
+    lower = take(f"<{d}q")
+    sides = take(f"<{d}q")
+    p, q = take("<2d")
+    (btag,) = take("<B")
     box = Box(tuple(lower), tuple(sides))
     if btag == 0:
         bc = FREE
     elif btag == 1:
         bc = WIRED
-    else:
-        (n_classes,) = struct.unpack_from("<I", buf, off); off += 4
+    elif btag == 2:
+        (n_classes,) = take("<I")
         bsites = sorted(box.boundary, key=box.site_index)
-        ids = struct.unpack_from(f"<{len(bsites)}I", buf, off)
-        off += 4 * len(bsites)
+        ids = take(f"<{len(bsites)}I")
+        if any(ci >= n_classes for ci in ids):
+            raise ValueError("boundary class id out of range")
         classes: list[set[Site]] = [set() for _ in range(n_classes)]
         for site, ci in zip(bsites, ids):
             classes[ci].add(site)
         bc = BoundaryCondition.partition(c for c in classes if c)
-    seed, sweep_index = struct.unpack_from("<QQ", buf, off); off += 16
-    (n_bonds,) = struct.unpack_from("<Q", buf, off); off += 8
+    else:
+        raise ValueError(f"unknown boundary tag {btag}")
+    seed, sweep_index = take("<QQ")
+    (n_bonds,) = take("<Q")
     if n_bonds != box.n_bonds:
         raise ValueError("bond count mismatch in serialized configuration")
     n_bytes = (n_bonds + 7) // 8
-    bits = np.frombuffer(buf[off:off + n_bytes], dtype=np.uint8)
+    if len(buf) != off + n_bytes:
+        raise ValueError(f"configuration record is {len(buf)} bytes, "
+                         f"expected {off + n_bytes}")
+    bits = np.frombuffer(buf[off:], dtype=np.uint8)
     state = np.unpackbits(bits, count=n_bonds)
     params = FKParams(p, q, bc)
     meta = {"seed": seed, "sweep_index": sweep_index}

@@ -4,6 +4,15 @@ Every operation here enumerates all 2^|bonds| configurations, so it is
 deliberately brute force and refuses beyond a hard cap.  Configuration i
 encodes bond j as bit j: state[j] = (i >> j) & 1, in ``box.bonds`` order.
 
+The point-process laws label each configuration once.  A numpy pass
+labels every configuration of the box, a chunk of configurations at a
+time, and the per-(configuration, site) cluster tables it yields are
+cached on the ``ExactDistribution``; the exact laws below are reductions
+over those tables.  Probabilities are accumulated in configuration order
+(``np.add.at``, ``np.cumsum``), the order of a plain loop over
+configurations, so results do not depend on how the reductions are
+vectorized.
+
 The point-process laws use the same finiteness surrogate as the census
 module (a cluster is finite iff it avoids the box boundary); pass
 ``surrogate="all"`` to count every cluster as finite instead, which is the
@@ -13,14 +22,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .census import _qualifies, mass_center
-from .fk import BondConfig, DisjointSet, FKParams, ResourceCapError
+from .fk import BondConfig, FKParams, ResourceCapError
 from .lattice import Box, Site
 
 ENUM_CAP = 24
+# configurations labeled, or reduced, per numpy pass
+CHUNK = 1 << 14
+
+
+@dataclass(frozen=True)
+class ClusterTables:
+    """Cluster data of every configuration of a box, for open bonds only.
+
+    Each array has shape (n_configs, n_sites), row i describing
+    configuration i and column s the cluster of site s:
+
+    - ``label``: the smallest site index in the cluster (uint8);
+    - ``size``: the number of sites in the cluster (uint8);
+    - ``touches``: whether the cluster touches the box boundary (bool);
+    - ``center``: the site index of the cluster's floor mass center (uint8).
+
+    That is 4 bytes per site per configuration: 32 KiB on a 2x4 box
+    (10 bonds), about 1 GiB on a 4x4 box at the 24-bond cap.
+    """
+
+    label: np.ndarray
+    size: np.ndarray
+    touches: np.ndarray
+    center: np.ndarray
 
 
 @dataclass
@@ -33,6 +66,12 @@ class ExactDistribution:
     @property
     def n_configs(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def cluster_tables(self) -> ClusterTables:
+        """Open-bond cluster tables of every configuration, built on first
+        use (see ``ClusterTables`` for their memory cost)."""
+        return _cluster_tables(self.box)
 
     def state_of(self, index: int) -> np.ndarray:
         m = self.box.n_bonds
@@ -49,28 +88,68 @@ class ExactDistribution:
                 for i, p in enumerate(self.probs)]
 
 
-def _cluster_stats(box: Box, state: np.ndarray):
-    """Labels plus per-label (size, touches, center_site_index)."""
-    ds = DisjointSet(box.n_sites)
-    bs = box.bond_sites
-    for j in np.flatnonzero(state):
-        ds.union(int(bs[j, 0]), int(bs[j, 1]))
-    roots = [ds.find(i) for i in range(box.n_sites)]
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(r, []).append(i)
-    sites = box.sites
-    bidx = set(int(v) for v in box.boundary_indices)
-    labels = np.empty(box.n_sites, dtype=np.int64)
-    stats = []
-    for li, (r, members) in enumerate(groups.items()):
-        for i in members:
-            labels[i] = li
-        size = len(members)
-        touches = any(i in bidx for i in members)
-        center = mass_center([sites[i] for i in members])
-        stats.append((size, touches, box.site_index(center)))
-    return labels, stats
+def _chunks(n_configs: int):
+    for start in range(0, n_configs, CHUNK):
+        yield slice(start, min(start + CHUNK, n_configs))
+
+
+def _open_bonds(rows: slice, n_bonds: int) -> np.ndarray:
+    """(configs, bonds) bool: the bits of configurations rows.start..stop."""
+    idx = np.arange(rows.start, rows.stop, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(n_bonds)) & 1).astype(bool)
+
+
+def _label(open_: np.ndarray, ends: np.ndarray, n_sites: int) -> np.ndarray:
+    """(configs, sites) uint8 smallest site index of each site's component,
+    one graph per row of ``open_`` over the edges ``ends`` (edges, 2).
+
+    One pass over the edges: an open edge that joins two components
+    relabels every site of the one with the larger label, so each
+    component keeps the smallest site index in it.  An enumerable box has
+    far fewer than 255 sites.
+    """
+    lab = np.tile(np.arange(n_sites, dtype=np.uint8), (len(open_), 1))
+    for j, (a, b) in enumerate(ends):
+        la, lb = lab[:, a], lab[:, b]
+        lo = np.where(open_[:, j], np.minimum(la, lb), lb)
+        # no site carries the label n_sites: a closed edge relabels nothing
+        hi = np.where(open_[:, j], np.maximum(la, lb), n_sites)
+        np.copyto(lab, lo[:, None], where=lab == hi[:, None])
+    return lab
+
+
+def _cluster_tables(box: Box) -> ClusterTables:
+    n_configs, s = 1 << box.n_bonds, box.n_sites
+    tables = ClusterTables(np.empty((n_configs, s), np.uint8),
+                           np.empty((n_configs, s), np.uint8),
+                           np.empty((n_configs, s), bool),
+                           np.empty((n_configs, s), np.uint8))
+    on_boundary = np.zeros(s)
+    on_boundary[box.boundary_indices] = 1.0
+    # coordinates relative to the lower corner: floor(mean(x)) - lower is
+    # floor(mean(x - lower)), and the offsets are never negative
+    offsets = np.array(box.sites, dtype=np.int64).reshape(s, box.d) \
+        - np.array(box.lower, dtype=np.int64)
+    for rows in _chunks(n_configs):
+        lab = _label(_open_bonds(rows, box.n_bonds), box.bond_sites, s)
+        n = len(lab)
+        flat = (lab + s * np.arange(n)[:, None]).reshape(-1)
+
+        def per_root(weights=None):
+            if weights is not None:
+                weights = np.broadcast_to(weights, (n, s)).reshape(-1)
+            return np.bincount(flat, weights, minlength=n * s).reshape(n, s)
+
+        size = per_root()
+        center = np.ravel_multi_index(
+            [per_root(offsets[:, k]).astype(np.int64) // np.maximum(size, 1)
+             for k in range(box.d)], box.sides)
+        tables.label[rows] = lab
+        tables.size[rows] = np.take_along_axis(size, lab, axis=1)
+        tables.touches[rows] = np.take_along_axis(per_root(on_boundary) > 0,
+                                                  lab, axis=1)
+        tables.center[rows] = np.take_along_axis(center, lab, axis=1)
+    return tables
 
 
 def enumerate_measure(box: Box, params: FKParams,
@@ -84,31 +163,27 @@ def enumerate_measure(box: Box, params: FKParams,
     params.boundary.validate(box)
     p, q = params.p, params.q
     n = 1 << m
-    logw = np.full(n, -np.inf)
-    class_lists = params.boundary.class_lists(box)
-    bs = box.bond_sites
-    lq = math.log(q)
-    for i in range(n):
-        k = int(i).bit_count()
-        if p == 0.0:
-            if k != 0:
-                continue
-            base = 0.0
-        elif p == 1.0:
-            if k != m:
-                continue
-            base = 0.0
-        else:
-            base = k * math.log(p) + (m - k) * math.log(1.0 - p)
-        ds = DisjointSet(box.n_sites)
-        for j in range(m):
-            if (i >> j) & 1:
-                ds.union(int(bs[j, 0]), int(bs[j, 1]))
-        for group in class_lists:
-            for other in group[1:]:
-                ds.union(group[0], other)
-        cl = len({ds.find(s) for s in range(box.n_sites)})
-        logw[i] = base + cl * lq
+    # each boundary class is glued by always-open edges, for this count only
+    glue = [(group[0], other) for group in params.boundary.class_lists(box)
+            for other in group[1:]]
+    ends = np.concatenate([box.bond_sites,
+                           np.array(glue, dtype=np.int64).reshape(-1, 2)])
+    k = np.empty(n, dtype=np.int64)
+    cl = np.empty(n, dtype=np.int64)
+    for rows in _chunks(n):
+        open_ = _open_bonds(rows, m)
+        k[rows] = open_.sum(axis=1)
+        open_ = np.concatenate([open_, np.ones((len(open_), len(glue)), bool)],
+                               axis=1)
+        cl[rows] = (_label(open_, ends, box.n_sites)
+                    == np.arange(box.n_sites)).sum(axis=1)
+    if p == 0.0:
+        base = np.where(k == 0, 0.0, -np.inf)
+    elif p == 1.0:
+        base = np.where(k == m, 0.0, -np.inf)
+    else:
+        base = k * math.log(p) + (m - k) * math.log(1.0 - p)
+    logw = base + cl * math.log(q)
     mx = logw.max()
     w = np.exp(logw - mx)
     z = w.sum()
@@ -164,43 +239,71 @@ class PatternLaw:
         return sum(p for k, p in self.table.items()
                    if self.unpack(k)[site_index])
 
-    def count_distribution(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for k, p in self.table.items():
-            c = int(self.unpack(k).sum())
-            out[c] = out.get(c, 0.0) + p
-        return out
-
 
 def _pattern_key(field: np.ndarray) -> bytes:
     return np.packbits(field.astype(np.uint8)).tobytes()
 
 
-def _config_field(box: Box, stats, n: int, variant: str,
-                  surrogate: str) -> np.ndarray:
-    fld = np.zeros(box.n_sites, dtype=bool)
-    for size, touches, cidx in stats:
-        finite = (not touches) if surrogate == "boundary" else True
-        if finite and _qualifies(size, n, variant):
-            fld[cidx] = True
-    return fld
+def _qualifying(size: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """Elementwise size test of a variant: "plain" n <= |C|, "truncated"
+    n <= |C| < n^2/4 (as in ``census``), "local" n <= |C| < n^2."""
+    if variant == "plain":
+        return size >= n
+    if variant == "truncated":
+        return (size >= n) & (size < n * n / 4.0)
+    if variant == "local":
+        return (size >= n) & (size < n * n)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _center_counts(dist: ExactDistribution, rows: slice, n: int,
+                   variant: str, surrogate: str) -> np.ndarray:
+    """(configs, sites) number of finite qualifying clusters centered at
+    each site, for the configurations in ``rows``."""
+    t = dist.cluster_tables
+    n_sites = dist.box.n_sites
+    # one column per cluster: the site that is its own label
+    keep = (t.label[rows] == np.arange(n_sites)) \
+        & _qualifying(t.size[rows], n, variant)
+    if surrogate == "boundary":
+        keep &= ~t.touches[rows]
+    n_rows = len(keep)
+    flat = (t.center[rows] + n_sites * np.arange(n_rows)[:, None])[keep]
+    return np.bincount(flat, minlength=n_rows * n_sites).reshape(n_rows,
+                                                                 n_sites)
 
 
 def exact_point_process_law(dist: ExactDistribution, n: int,
                             variant: str = "plain",
                             surrogate: str = "boundary") -> PatternLaw:
-    """Exact law of the indicator field of qualifying mass centers."""
+    """Exact law of the indicator field of qualifying mass centers.
+
+    Patterns enter the table in the order of the first configuration of
+    positive probability that shows them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    box = dist.box
-    table: dict[bytes, float] = {}
-    for i in range(dist.n_configs):
-        if dist.probs[i] == 0.0:
-            continue
-        _, stats = _cluster_stats(box, dist.state_of(i))
-        key = _pattern_key(_config_field(box, stats, n, variant, surrogate))
-        table[key] = table.get(key, 0.0) + float(dist.probs[i])
-    return PatternLaw(box, n, variant, table)
+    keys, probs = [], []
+    for rows in _chunks(dist.n_configs):
+        pr = dist.probs[rows]
+        live = pr != 0.0
+        field = _center_counts(dist, rows, n, variant, surrogate)[live] > 0
+        keys.append(np.packbits(field, axis=1))
+        probs.append(pr[live])
+    keys = np.concatenate(keys)
+    # one integer per pattern, for a fast unique: a box of k sites has at
+    # least k - 1 bonds, so any box that can be enumerated has a key of at
+    # most 8 bytes
+    codes = np.zeros(len(keys), dtype=np.uint64)
+    for column in keys.T:
+        codes = (codes << np.uint64(8)) | column
+    _, first, inverse = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+    mass = np.zeros(len(first))
+    np.add.at(mass, inverse.reshape(-1), np.concatenate(probs))
+    table = {keys[first[j]].tobytes(): float(mass[j])
+             for j in np.argsort(first)}
+    return PatternLaw(dist.box, n, variant, table)
 
 
 def product_law(px: np.ndarray, box: Box, n: int = 0,
@@ -224,7 +327,7 @@ def exact_tv(law1: PatternLaw, law2: PatternLaw) -> float:
     differences over patterns (equal to twice the sup over pattern sets)."""
     if law1.n_sites != law2.n_sites or law1.box != law2.box:
         raise ValueError("laws live on different pattern spaces")
-    keys = set(law1.table) | set(law2.table)
+    keys = sorted(set(law1.table) | set(law2.table))
     return float(sum(abs(law1.table.get(k, 0.0) - law2.table.get(k, 0.0))
                      for k in keys))
 
@@ -248,11 +351,10 @@ def tv_sup_form(law1: PatternLaw, law2: PatternLaw,
 def exact_px_field(dist: ExactDistribution, n: int, variant: str = "plain",
                    surrogate: str = "boundary") -> np.ndarray:
     """Exact P(X(x) = 1) for every site, directly from configurations."""
-    box = dist.box
-    out = np.zeros(box.n_sites)
-    for i in range(dist.n_configs):
-        _, stats = _cluster_stats(box, dist.state_of(i))
-        out += dist.probs[i] * _config_field(box, stats, n, variant, surrogate)
+    out = np.zeros(dist.box.n_sites)
+    for rows in _chunks(dist.n_configs):
+        r, s = np.nonzero(_center_counts(dist, rows, n, variant, surrogate))
+        np.add.at(out, s, dist.probs[rows][r])
     return out
 
 
@@ -262,35 +364,20 @@ def exact_pxy_matrix(dist: ExactDistribution, n: int,
     """M[x, y] = P(two distinct qualifying clusters centered at x and y).
 
     window "plain": n <= |C|, finite;  window "local": n <= |C| < n^2.
+    Two qualifying clusters sharing a center x put mass on M[x, x].
     """
-    box = dist.box
-    out = np.zeros((box.n_sites, box.n_sites))
+    k = dist.box.n_sites
+    out = np.zeros((k, k))
     variant = "plain" if window == "plain" else "local"
-    for i in range(dist.n_configs):
-        _, stats = _cluster_stats(box, dist.state_of(i))
-        centers = []
-        for size, touches, cidx in stats:
-            finite = (not touches) if surrogate == "boundary" else True
-            if finite and _qualifies_window(size, n, variant):
-                centers.append(cidx)
-        if len(centers) < 2:
-            continue
-        pairs = set()
-        for i1, a in enumerate(centers):
-            for i2, b in enumerate(centers):
-                if i1 != i2:
-                    pairs.add((a, b))
-        for a, b in pairs:
-            out[a, b] += dist.probs[i]
+    diag = np.arange(k)
+    for rows in _chunks(dist.n_configs):
+        counts = _center_counts(dist, rows, n, variant, surrogate)
+        present = counts > 0
+        pairs = present[:, :, None] & present[:, None, :]
+        pairs[:, diag, diag] = counts >= 2
+        r, ab = np.nonzero(pairs.reshape(len(pairs), k * k))
+        np.add.at(out.reshape(-1), ab, dist.probs[rows][r])
     return out
-
-
-def _qualifies_window(size: int, n: int, variant: str) -> bool:
-    if variant == "plain":
-        return size >= n
-    if variant == "local":
-        return n <= size < n * n
-    return _qualifies(size, n, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +410,27 @@ def conjecture7_check(box: Box, params: FKParams, n: int, x: Site, y: Site,
     """
     if dist is None:
         dist = enumerate_measure(box, params)
+    t = dist.cluster_tables
     xi, yi = box.site_index(x), box.site_index(y)
     zi = box.site_index(box.center)
-    lhs = rhs = 0.0
-    for i in range(dist.n_configs):
-        labels, stats = _cluster_stats(box, dist.state_of(i))
-        pr = float(dist.probs[i])
 
-        def finite_large(site_idx: int, thresh: int) -> bool:
-            size, touches, _ = stats[labels[site_idx]]
-            finite = (not touches) if surrogate == "boundary" else True
-            return finite and size >= thresh
+    def finite_large(site_idx: int, thresh: int) -> np.ndarray:
+        large = t.size[:, site_idx] >= thresh
+        if surrogate == "boundary":
+            large &= ~t.touches[:, site_idx]
+        return large
 
-        if labels[xi] != labels[yi] and finite_large(xi, n) and finite_large(yi, n):
-            lhs += pr
-        if finite_large(zi, 2 * n):
-            rhs += pr
+    lhs = _ordered_sum(dist.probs[(t.label[:, xi] != t.label[:, yi])
+                                  & finite_large(xi, n)
+                                  & finite_large(yi, n)])
+    rhs = _ordered_sum(dist.probs[finite_large(zi, 2 * n)])
     return Conjecture7Result(box, params.p, params.q, n, x, y, surrogate,
                              lhs, rhs)
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Sum in array order, one addition at a time, as a loop would."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 # ---------------------------------------------------------------------------

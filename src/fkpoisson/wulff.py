@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import Cluster, PointField
-from .lattice import Site
 
 DEFAULT_CELLS_PER_UNIT = 16
 
@@ -110,30 +109,6 @@ def square_shape(side: float, cells_per_unit: int = DEFAULT_CELLS_PER_UNIT,
     n = 2 * half_cells
     return ShapeMask(cells_per_unit, (-half_cells,) * d,
                      np.ones((n,) * d, dtype=bool))
-
-
-def cluster_cells_mask(sites, cells_per_unit: int = DEFAULT_CELLS_PER_UNIT,
-                       offset: Site | None = None) -> ShapeMask:
-    """Unit cells [s - 1/2, s + 1/2]^d of the (optionally re-centered)
-    lattice sites.  Needs an even raster so half-cells land on the grid."""
-    if cells_per_unit % 2:
-        raise ValueError("cells_per_unit must be even")
-    sites = list(sites)
-    d = len(sites[0])
-    if offset is None:
-        offset = (0,) * d
-    shifted = [tuple(a - b for a, b in zip(s, offset)) for s in sites]
-    lo = [min(s[k] for s in shifted) for k in range(d)]
-    hi = [max(s[k] for s in shifted) for k in range(d)]
-    cpu = cells_per_unit
-    half = cpu // 2
-    shape = tuple((h - l + 1) * cpu for l, h in zip(lo, hi))
-    grid = np.zeros(shape, dtype=bool)
-    for s in shifted:
-        sl = tuple(slice((s[k] - lo[k]) * cpu, (s[k] - lo[k] + 1) * cpu)
-                   for k in range(d))
-        grid[sl] = True
-    return ShapeMask(cpu, tuple(l * cpu - half for l in lo), grid)
 
 
 def renormalize(shape: ShapeMask, theta: float) -> ShapeMask:

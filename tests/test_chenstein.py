@@ -175,6 +175,19 @@ def test_exact_bound_instance_holds_on_chain():
     assert inst6.tv > 0.0  # non-degenerate instance
 
 
+def test_exact_bound_instance_reuses_given_distribution():
+    box, params = Box((0, 0), (2, 3)), FKParams(0.6, 2.0)
+    dist = oracle.enumerate_measure(box, params)
+    for surrogate in ("boundary", "all"):
+        fresh = exact_bound_instance(box, params, 2, None, surrogate)
+        given = exact_bound_instance(box, params, 2, None, surrogate,
+                                     dist=dist)
+        assert np.array_equal(given.px, fresh.px)
+        assert (given.b1, given.b2, given.b3, given.sum_px2, given.bound,
+                given.tv) == (fresh.b1, fresh.b2, fresh.b3, fresh.sum_px2,
+                              fresh.bound, fresh.tv)
+
+
 def test_poisson_trivial_and_closed_form():
     # all-zero counts: degenerate comparison against the unit mass at 0
     res = poisson_count_test(np.zeros(100, dtype=int), n_boot=10)

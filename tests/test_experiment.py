@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fkpoisson import oracle
 from fkpoisson.cli import main
 from fkpoisson.experiment import (ConfigError, config_hash, make_report,
                                   merge_reports, replica_seed, run,
@@ -109,6 +110,20 @@ def test_cli_oracle_value(tmp_path):
     probs = {row["config"]: row["probability"]
              for row in doc["distribution"]}
     assert probs[1] == pytest.approx(1.0 / 3.0)
+
+
+def test_oracle_enumerates_the_measure_once(tmp_path, monkeypatch):
+    calls = []
+    enumerate_measure = oracle.enumerate_measure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_measure(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_measure", counted)
+    run("oracle", {"sides": [2, 3], "p": 0.6, "q": 2.0, "n": 2,
+                   "seed": 1}, str(tmp_path / "o"))
+    assert len(calls) == 1
 
 
 def test_cli_invalid_config_exit_2(tmp_path, capsys):

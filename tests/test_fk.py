@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
                           FKParams, cluster_count, config_from_bytes,
@@ -211,6 +213,65 @@ def test_serialization_roundtrip():
     assert params3.boundary.kind == "partition"
     assert cluster_count(cfg, params3.boundary) \
         == cluster_count(cfg, part)
+
+
+@st.composite
+def records(draw):
+    """A configuration, its parameters and metadata on a small box."""
+    d = draw(st.integers(1, 3))
+    lower = tuple(draw(st.integers(-5, 5)) for _ in range(d))
+    sides = tuple(draw(st.integers(1, 4 if d < 3 else 2)) for _ in range(d))
+    box = Box(lower, sides)
+    kind = draw(st.sampled_from(["free", "wired", "partition"]))
+    if kind == "partition":
+        n_classes = draw(st.integers(1, len(box.boundary)))
+        classes = [set() for _ in range(n_classes)]
+        for site in sorted(box.boundary):
+            classes[draw(st.integers(0, n_classes - 1))].add(site)
+        bc = BoundaryCondition.partition(c for c in classes if c)
+    else:
+        bc = BoundaryCondition(kind)
+    params = FKParams(draw(st.floats(0.0, 1.0)), draw(st.floats(1.0, 10.0)),
+                      bc)
+    bits = draw(st.lists(st.booleans(), min_size=box.n_bonds,
+                         max_size=box.n_bonds))
+    config = BondConfig(box, np.array(bits, dtype=np.uint8))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    sweep_index = draw(st.integers(0, 2 ** 64 - 1))
+    return config, params, seed, sweep_index
+
+
+@settings(max_examples=60, deadline=None)
+@given(records())
+def test_serialization_roundtrip_property(record):
+    config, params, seed, sweep_index = record
+    blob = config_to_bytes(config, params, seed, sweep_index)
+    back, params2, meta = config_from_bytes(blob)
+    assert back == config
+    assert (params2.p, params2.q) == (params.p, params.q)
+    assert params2.boundary.kind == params.boundary.kind
+    assert set(params2.boundary.classes) == set(params.boundary.classes)
+    assert meta == {"seed": seed, "sweep_index": sweep_index}
+
+
+@settings(max_examples=30, deadline=None)
+@given(records(), st.binary(min_size=1, max_size=16))
+def test_deserializer_rejects_truncated_or_padded(record, extra):
+    blob = config_to_bytes(*record)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            config_from_bytes(blob[:cut])
+    with pytest.raises(ValueError):
+        config_from_bytes(blob + extra)
+
+
+def test_deserializer_rejects_one_byte_short():
+    box = Box.cube(2, 3)
+    blob = config_to_bytes(BondConfig.all_open(box), FKParams(0.5, 2.0))
+    with pytest.raises(ValueError, match="bytes, expected"):
+        config_from_bytes(blob[:-1])
+    with pytest.raises(ValueError, match="bytes, expected"):
+        config_from_bytes(blob + b"abc")
 
 
 def test_params_validation():

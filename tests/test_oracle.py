@@ -1,10 +1,16 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fkpoisson import oracle
-from fkpoisson.fk import FREE, WIRED, FKParams, ResourceCapError
+from fkpoisson.census import label_clusters, mass_center
+from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, DisjointSet,
+                          FKParams, ResourceCapError)
 from fkpoisson.lattice import Box
 
 CHAIN4 = Box((0,), (4,))
@@ -247,3 +253,183 @@ def test_sample_exact_matches_distribution():
     idx = states @ weights
     freq = np.bincount(idx, minlength=8) / len(idx)
     assert np.abs(freq - dist.probs).sum() < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the cached cluster tables against the census labeler, and the reductions
+# over them against configuration loops
+
+BOX22 = Box((0, 0), (2, 2))
+PARTITION22 = BoundaryCondition.partition([{(0, 0), (1, 1)}, {(0, 1)},
+                                           {(1, 0)}])
+TABLE_CASES = [
+    (Box((0, 0), (2, 3)), FKParams(0.6, 1.5)),
+    (Box.centered(1, 7), FKParams(0.5, 2.0)),  # negative coordinates
+    (BOX22, FKParams(0.55, 2.0, WIRED)),
+    (BOX22, FKParams(0.45, 3.0, PARTITION22)),
+    # a ring around the center site shares its mass center with it
+    (Box.cube(2, 3), FKParams(0.5, 1.0)),
+]
+
+
+def reference_measure(box, params):
+    """Configuration weights by a disjoint set per configuration, with the
+    boundary classes glued, normalized as ``enumerate_measure`` does."""
+    m = box.n_bonds
+    logw = np.full(1 << m, -np.inf)
+    bs = box.bond_sites
+    for i in range(1 << m):
+        k = int(i).bit_count()
+        base = k * math.log(params.p) + (m - k) * math.log(1.0 - params.p)
+        ds = DisjointSet(box.n_sites)
+        for j in range(m):
+            if (i >> j) & 1:
+                ds.union(int(bs[j, 0]), int(bs[j, 1]))
+        for group in params.boundary.class_lists(box):
+            for other in group[1:]:
+                ds.union(group[0], other)
+        cl = len({ds.find(s) for s in range(box.n_sites)})
+        logw[i] = base + cl * math.log(params.q)
+    mx = logw.max()
+    w = np.exp(logw - mx)
+    return w / w.sum()
+
+
+def reference_clusters(dist, i):
+    """(sizes, touches, center indices) of the open-bond clusters of
+    configuration i, one entry per cluster, plus each site's cluster."""
+    box = dist.box
+    cs = label_clusters(dist.config_of(i))
+    sizes = [c.size for c in cs.clusters]
+    touches = [c.touches_boundary for c in cs.clusters]
+    centers = [box.site_index(mass_center(c.sites)) for c in cs.clusters]
+    of_site = [cs.site_cluster[x] for x in box.sites]
+    return sizes, touches, centers, of_site
+
+
+def finite_ok(touches, surrogate):
+    return (not touches) if surrogate == "boundary" else True
+
+
+@pytest.mark.parametrize("box,params", TABLE_CASES)
+def test_cluster_tables_match_census_labeler(box, params):
+    dist = oracle.enumerate_measure(box, params)
+    t = dist.cluster_tables
+    assert t.label.dtype == t.size.dtype == t.center.dtype == np.uint8
+    assert t.touches.dtype == bool
+    assert t.label.shape == (dist.n_configs, box.n_sites)
+    for i in range(dist.n_configs):
+        sizes, touches, centers, of_site = reference_clusters(dist, i)
+        for s, c in enumerate(of_site):
+            members = [j for j, cj in enumerate(of_site) if cj == c]
+            assert t.label[i, s] == min(members)
+            assert t.size[i, s] == sizes[c]
+            assert t.touches[i, s] == touches[c]
+            assert t.center[i, s] == centers[c]
+
+
+@pytest.mark.parametrize("box,params", TABLE_CASES[2:4])
+def test_enumerate_matches_disjoint_set_weights(box, params):
+    dist = oracle.enumerate_measure(box, params)
+    assert np.array_equal(dist.probs, reference_measure(box, params))
+
+
+@pytest.mark.parametrize("box,params", TABLE_CASES)
+@pytest.mark.parametrize("surrogate", ["boundary", "all"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_reductions_equal_configuration_loops(box, params, surrogate, n):
+    """px, pxy, the pattern law and conjecture 7 equal, bit for bit, the
+    same sums taken one configuration at a time in index order."""
+    dist = oracle.enumerate_measure(box, params)
+    k = box.n_sites
+    px = np.zeros(k)
+    pxy = np.zeros((k, k))
+    law: dict[bytes, float] = {}
+    x, y, z = 0, k - 1, box.site_index(box.center)
+    lhs = rhs = 0.0
+    for i in range(dist.n_configs):
+        pr = dist.probs[i]
+        sizes, touches, centers, of_site = reference_clusters(dist, i)
+        qual = [centers[c] for c in range(len(sizes))
+                if finite_ok(touches[c], surrogate) and sizes[c] >= n]
+        field = np.zeros(k, dtype=bool)
+        field[qual] = True
+        px += pr * field
+        for a, b in {(a, b) for ia, a in enumerate(qual)
+                     for ib, b in enumerate(qual) if ia != ib}:
+            pxy[a, b] += pr
+        if pr != 0.0:
+            key = oracle._pattern_key(field)
+            law[key] = law.get(key, 0.0) + float(pr)
+
+        def large(site, thresh):
+            c = of_site[site]
+            return finite_ok(touches[c], surrogate) and sizes[c] >= thresh
+
+        if of_site[x] != of_site[y] and large(x, n) and large(y, n):
+            lhs += float(pr)
+        if large(z, 2 * n):
+            rhs += float(pr)
+
+    assert np.array_equal(oracle.exact_px_field(dist, n, surrogate=surrogate),
+                          px)
+    assert np.array_equal(oracle.exact_pxy_matrix(dist, n,
+                                                  surrogate=surrogate), pxy)
+    got = oracle.exact_point_process_law(dist, n, surrogate=surrogate)
+    assert list(got.table.items()) == list(law.items())
+    res = oracle.conjecture7_check(box, params, n, box.sites[x],
+                                   box.sites[y], surrogate, dist)
+    assert (res.lhs, res.rhs) == (lhs, rhs)
+
+
+def test_reductions_do_not_depend_on_chunk_size(monkeypatch):
+    box, params = Box((0, 0), (2, 4)), FKParams(0.6, 2.0)
+    whole = oracle.enumerate_measure(box, params)
+    monkeypatch.setattr(oracle, "CHUNK", 37)
+    chunked = oracle.enumerate_measure(box, params)
+    assert np.array_equal(chunked.probs, whole.probs)
+    for name in ("label", "size", "touches", "center"):
+        assert np.array_equal(getattr(chunked.cluster_tables, name),
+                              getattr(whole.cluster_tables, name))
+    for surrogate in ("boundary", "all"):
+        assert np.array_equal(
+            oracle.exact_px_field(chunked, 2, surrogate=surrogate),
+            oracle.exact_px_field(whole, 2, surrogate=surrogate))
+        assert np.array_equal(
+            oracle.exact_pxy_matrix(chunked, 2, surrogate=surrogate),
+            oracle.exact_pxy_matrix(whole, 2, surrogate=surrogate))
+        assert list(oracle.exact_point_process_law(
+            chunked, 2, surrogate=surrogate).table.items()) == list(
+            oracle.exact_point_process_law(
+                whole, 2, surrogate=surrogate).table.items())
+
+
+def test_pxy_diagonal_counts_shared_centers():
+    # 3x3, n = 1: an open ring around the closed-off center site has the
+    # center as its mass center, as does the singleton inside it
+    box = Box.cube(2, 3)
+    center = box.site_index(box.center)
+    dist = oracle.enumerate_measure(box, FKParams(0.5, 1.0))
+    mat = oracle.exact_pxy_matrix(dist, 1, surrogate="all")
+    assert mat[center, center] > 0.0
+
+
+_TV_CHILD = """
+from fkpoisson.chenstein import exact_bound_instance
+from fkpoisson.fk import FKParams
+from fkpoisson.lattice import Box
+print(repr(exact_bound_instance(Box((0, 0), (2, 4)), FKParams(0.6, 2.0), 2,
+                                surrogate="all").tv))
+"""
+
+
+def test_exact_tv_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    out = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _TV_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        out.append(proc.stdout.strip())
+    assert out[0] == out[1]
