@@ -8,7 +8,7 @@ from .lattice import (Box, bonds_of, boundary, l1, linf, pair_order,
 from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  ResourceCapError, cluster_count, config_from_bytes,
                  config_to_bytes, finite_energy_floor, heatbath_step,
-                 heatbath_sweep, log_weight, sample, sample_many,
+                 heatbath_sweep, label_sites, log_weight, sample,
                  sample_states, swendsen_wang_step, weight)
 from .census import (Census, Cluster, ClusterSet, DecayEstimate, PointField,
                      census_from_configs, census_q1_d2, census_sampled,

@@ -12,13 +12,14 @@ centers commute with integer translations).
 """
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .fk import BondConfig, DisjointSet, FKParams, sample_states
+from .fk import BondConfig, FKParams, label_sites, sample_states
 from .lattice import Box, Site
 
 log = logging.getLogger(__name__)
@@ -63,61 +64,19 @@ def mass_center(sites) -> Site:
 
 
 def label_clusters(config: BondConfig) -> ClusterSet:
-    """Connected components under open bonds, via a disjoint-set forest."""
+    """Connected components under open bonds, in order of their smallest
+    site index: a view over the configuration's ``label_sites`` labels."""
     box = config.box
-    ds = DisjointSet(box.n_sites)
-    bs = box.bond_sites
-    for i in np.flatnonzero(config.state):
-        ds.union(int(bs[i, 0]), int(bs[i, 1]))
-    groups: dict[int, list[int]] = {}
-    for i in range(box.n_sites):
-        groups.setdefault(ds.find(i), []).append(i)
-    sites = box.sites
-    bset = box.boundary
-    clusters = []
-    site_cluster = {}
-    for members in groups.values():
-        cluster_sites = frozenset(sites[i] for i in members)
-        touches = any(s in bset for s in cluster_sites)
-        idx = len(clusters)
-        clusters.append(Cluster(cluster_sites, touches))
-        for s in cluster_sites:
-            site_cluster[s] = idx
-    return ClusterSet(box, clusters, site_cluster)
-
-
-def label_clusters_bfs(config: BondConfig) -> ClusterSet:
-    """Independent graph-search implementation, kept as a cross-check for
-    the disjoint-set labeler."""
-    box = config.box
-    adj: dict[Site, list[Site]] = {s: [] for s in box.sites}
-    for i in np.flatnonzero(config.state):
-        a, b = box.bonds[i]
-        adj[a].append(b)
-        adj[b].append(a)
-    bset = box.boundary
-    seen: set[Site] = set()
-    clusters = []
-    site_cluster = {}
-    for start in box.sites:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        idx = len(clusters)
-        cs = frozenset(comp)
-        clusters.append(Cluster(cs, any(s in bset for s in cs)))
-        for s in cs:
-            site_cluster[s] = idx
-    return ClusterSet(box, clusters, site_cluster)
+    labels, n = label_sites(box, config.state[None])
+    lab = labels[0].tolist()
+    members: list[list[Site]] = [[] for _ in range(n)]
+    for site, k in zip(box.sites, lab):
+        members[k].append(site)
+    touches = [False] * n
+    for i in box.boundary_indices.tolist():
+        touches[lab[i]] = True
+    clusters = [Cluster(frozenset(m), t) for m, t in zip(members, touches)]
+    return ClusterSet(box, clusters, dict(zip(box.sites, lab)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +199,6 @@ class Census:
     def to_jsonl(self, fh) -> None:
         """One JSON object per cluster row: sample id, size, mass center,
         boundary contact."""
-        import json
         for i in range(self.n_rows):
             fh.write(json.dumps({
                 "sample": int(self.sample_id[i]),
@@ -290,9 +248,45 @@ def census_from_configs(configs, box: Box, min_size: int = 1,
 def census_sampled(params: FKParams, box: Box, n_samples: int,
                    thinning: int = 10, burn_in: int | None = None, seed=0,
                    min_size: int = 1, origin: Site | None = None) -> Census:
+    """Census of ``sample_states`` draws: the rows ``census_from_configs``
+    would give, built from label arrays by ``bincount``."""
     states = sample_states(params, box, n_samples, thinning, burn_in, seed)
-    return census_from_configs(
-        (BondConfig(box, row) for row in states), box, min_size, origin)
+    # configurations per labeling call: about 2^22 grid cells at most
+    per_call = max(1, (1 << 22) // (4 * box.n_sites))
+    parts = [_census_rows(box, states[i:i + per_call], i, min_size, origin)
+             for i in range(0, n_samples, per_call)]
+    sid, size, center, touches, osz, oto = (
+        np.concatenate(col) if col[0] is not None else None
+        for col in zip(*parts))
+    return Census(box, n_samples, sid, size, center, touches,
+                  min_size=min_size, origin=origin,
+                  origin_size=osz, origin_touches=oto)
+
+
+def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
+                 origin: Site | None):
+    """Rows of the open-bond clusters of ``states``, samples numbered from
+    ``first``: (sample id, size, mass center, boundary contact) per row,
+    plus per-sample origin-cluster size and contact when origin is set."""
+    labels, n = label_sites(box, states)
+    flat = labels.reshape(-1)
+    size = np.bincount(flat, minlength=n)
+    owner = np.empty(n, dtype=np.int64)
+    owner[labels] = np.arange(first, first + len(states))[:, None]
+    touches = np.zeros(n, dtype=bool)
+    touches[labels[:, box.boundary_indices]] = True
+    keep = np.flatnonzero(size >= min_size)
+    center = np.empty((len(keep), box.d), dtype=np.int64)
+    for k in range(box.d):
+        coord = np.tile(box.offsets[:, k], len(states))
+        sums = np.bincount(flat, weights=coord, minlength=n)
+        center[:, k] = (sums[keep] // size[keep]).astype(np.int64) \
+            + box.lower[k]
+    osz = oto = None
+    if origin is not None:
+        ol = labels[:, box.site_index(origin)]
+        osz, oto = size[ol], touches[ol]
+    return owner[keep], size[keep], center, touches[keep], osz, oto
 
 
 # ---------------------------------------------------------------------------

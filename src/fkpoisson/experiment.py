@@ -53,6 +53,62 @@ _SCHEMA = {
 }
 
 
+def _int(lo):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) \
+        and v >= lo
+
+
+def _real(lo, hi=math.inf, strict=False):
+    return lambda v: isinstance(v, (int, float)) \
+        and not isinstance(v, bool) and (v > lo if strict else v >= lo) \
+        and v <= hi
+
+
+def _ints(lo=-math.inf):
+    return lambda v: isinstance(v, list) and bool(v) and all(
+        _int(lo)(x) for x in v)
+
+
+# per key: the check its value must pass and what that asks for
+_FIELDS = {
+    "seed": (_int(0), "need an int >= 0"),
+    "p": (_real(0, 1), "need a real in [0,1]"),
+    "q": (_real(1), "need a real >= 1"),
+    "samples": (_int(1), "need an int >= 1"),
+    "pairs": (_int(1), "need an int >= 1"),
+    "instances": (_int(1), "need an int >= 1"),
+    "n": (_int(1), "need an int >= 1"),
+    "thinning": (_int(1), "need an int >= 1"),
+    "burn_in": (_int(0), "need an int >= 0"),
+    "min_size": (_int(1), "need an int >= 1"),
+    "K": (_real(0, strict=True), "need a real > 0"),
+    "delta": (_real(0, strict=True), "need a real > 0"),
+    "boundary": (lambda v: v in ("free", "wired"), "need 'free' or 'wired'"),
+    "n_schedule": (_ints(1), "need a nonempty list of ints >= 1"),
+    "neighborhood_side": (lambda v: _int(1)(v) and v % 2 == 1,
+                          "need an odd int >= 1"),
+    "min_bin": (_int(1), "need an int >= 1"),
+    "surrogate": (lambda v: v in ("boundary", "all"),
+                  "need 'boundary' or 'all'"),
+    "max_distance": (_real(0, strict=True), "need a real > 0"),
+    "count_antecedents": (lambda v: isinstance(v, bool), "need a boolean"),
+    "gamma_sides": (_ints(1), "need a nonempty list of ints >= 1"),
+    "separations": (_ints(1), "need a nonempty list of ints >= 1"),
+    "dump_outcomes": (_int(0), "need an int >= 0"),
+    "cells_per_unit": (lambda v: _int(2)(v) and v % 2 == 0,
+                       "need an even int >= 2"),
+    "shape_side": (_real(0, strict=True), "need a real > 0"),
+    "f_width": (_int(0), "need an int >= 0"),
+    "box_factor": (_int(1), "need an int >= 1"),
+}
+
+
+def _need(config: dict, key: str, check, what: str) -> None:
+    if key in config and not check(config[key]):
+        raise ConfigError(f"config field {key!r}: {what}, "
+                          f"got {config[key]!r}")
+
+
 def validate_config(subcommand: str, config: dict) -> dict:
     """Strict validation: unknown keys rejected, ranges checked before any
     sampling starts.  Returns a normalized copy with defaults filled."""
@@ -69,41 +125,14 @@ def validate_config(subcommand: str, config: dict) -> dict:
     out = dict(config)
     out.setdefault("seed", 0)
 
-    def need(key, check, what):
-        if key in out and not check(out[key]):
-            raise ConfigError(f"config field {key!r}: {what}, got {out[key]!r}")
-
     if "sides" in out:
-        if (not isinstance(out["sides"], list) or not out["sides"]
-                or any(not isinstance(s, int) or s < 1 for s in out["sides"])):
-            raise ConfigError("config field 'sides': need a list of ints >= 1")
-        out.setdefault("lower", [0] * len(out["sides"]))
-        if len(out["lower"]) != len(out["sides"]):
-            raise ConfigError("config field 'lower': dimension mismatch")
-    need("p", lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
-         "need a real in [0,1]")
-    need("q", lambda v: isinstance(v, (int, float)) and v >= 1,
-         "need a real >= 1")
-    need("samples", lambda v: isinstance(v, int) and v >= 1,
-         "need an int >= 1")
-    need("pairs", lambda v: isinstance(v, int) and v >= 1,
-         "need an int >= 1")
-    need("instances", lambda v: isinstance(v, int) and v >= 1,
-         "need an int >= 1")
-    need("n", lambda v: isinstance(v, int) and v >= 1, "need an int >= 1")
-    need("thinning", lambda v: isinstance(v, int) and v >= 1,
-         "need an int >= 1")
-    need("burn_in", lambda v: isinstance(v, int) and v >= 0,
-         "need an int >= 0")
-    need("K", lambda v: isinstance(v, (int, float)) and v > 0,
-         "need a real > 0")
-    need("delta", lambda v: isinstance(v, (int, float)) and v > 0,
-         "need a real > 0")
-    need("boundary", lambda v: v in ("free", "wired"),
-         "need 'free' or 'wired'")
-    need("n_schedule", lambda v: isinstance(v, list) and v
-         and all(isinstance(x, int) and x >= 1 for x in v),
-         "need a list of ints >= 1")
+        _need(out, "sides", _ints(1), "need a nonempty list of ints >= 1")
+        d = len(out["sides"])
+        out.setdefault("lower", [0] * d)
+        _need(out, "lower", lambda v: _ints()(v) and len(v) == d,
+              f"need a list of {d} ints, one per side")
+    for key, (check, what) in _FIELDS.items():
+        _need(out, key, check, what)
     out.setdefault("boundary", "free")
     out.setdefault("K", 5.0)
     return out

@@ -6,18 +6,28 @@ measure weights a configuration by ``p^#open (1-p)^#closed q^cl_pi`` where
 virtually glues boundary sites together.  Weights are handled in log space
 throughout: ``q^cl`` overflows beyond a few hundred sites.
 
+Clusters are labeled by ``label_sites``, one labeler for every cluster
+path but the heat bath: a batch of configurations is drawn on the box's
+doubled grid (sites at even cells, open bonds at the odd cells between
+them) and labeled by one ``scipy.ndimage.label`` call; boundary classes
+are then glued by merging the labels of their sites.
+
 Sampling uses the cluster color-and-rebond sweep for integer q and a
 systematic-scan single-bond heat bath otherwise.  Both kernels leave the
 target measure invariant; neither the update schedule nor the initial
 all-open state matters after burn-in (default ``10 * n_sites`` sweeps).
+The heat bath asks one connectivity question per bond and keeps a small
+disjoint-set forest for it.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
 
 from .lattice import Bond, Box, Site
 
@@ -152,47 +162,83 @@ class BondConfig:
 # connectivity
 
 
-class DisjointSet:
-    """Array disjoint-set forest with path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
+@lru_cache(maxsize=None)
+def _cross(d: int) -> np.ndarray:
+    """Nearest-neighbour structure on (configuration, *grid) arrays: the
+    d-dimensional cross, with no connection along the configuration axis."""
+    structure = np.zeros((3,) * (d + 1), dtype=bool)
+    structure[1] = ndimage.generate_binary_structure(d, 1)
+    structure.flags.writeable = False
+    return structure
 
 
-def _site_components(box: Box, state: np.ndarray,
-                     bc: BoundaryCondition = FREE,
-                     skip_bond: int = -1) -> DisjointSet:
-    ds = DisjointSet(box.n_sites)
-    bs = box.bond_sites
-    for i in np.flatnonzero(state):
-        if i == skip_bond:
-            continue
-        ds.union(int(bs[i, 0]), int(bs[i, 1]))
-    for group in bc.class_lists(box):
-        first = group[0]
-        for j in group[1:]:
-            ds.union(first, j)
-    return ds
+@lru_cache(maxsize=64)
+def _glue_table(bc: BoundaryCondition, box: Box):
+    """(site indices, class of each, number of classes) of the boundary
+    classes of a wired or partition boundary."""
+    groups = bc.class_lists(box)
+    sites = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    classes = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return sites, classes, len(groups)
+
+
+def label_sites(box: Box, states: np.ndarray,
+                bc: BoundaryCondition = FREE) -> tuple[np.ndarray, int]:
+    """Clusters of a batch of configurations of ``box``.
+
+    ``states`` is a (configs, n_bonds) array of open(1)/closed(0) bits.
+    Returns ``(labels, n)``: ``labels`` is a (configs, n_sites) array in
+    which two sites of one configuration share a label exactly when open
+    bonds, or a boundary class of ``bc``, join them; ``n`` is the number of
+    clusters over the batch.  Labels run 0..n-1 in the order of each
+    cluster's smallest site index, configuration by configuration, so
+    every configuration's labels form one contiguous range.
+    """
+    sites_only, site_cells, bond_cells = box.doubled_grid
+    c = len(states)
+    grid = sites_only[None].repeat(c, axis=0)
+    grid.reshape(c, -1)[:, bond_cells] = states
+    # ndimage numbers components 1..n in raster order of their first cell,
+    # and a component's first cell is its smallest site
+    lab, n = ndimage.label(grid, _cross(box.d))
+    labels = lab.reshape(c, -1).take(site_cells, axis=1)
+    labels -= 1
+    if bc.kind == "free":
+        return labels, n
+    return _glue(labels, n, *_glue_table(bc, box))
+
+
+def _glue(labels: np.ndarray, n: int, sites: np.ndarray, classes: np.ndarray,
+          n_classes: int) -> tuple[np.ndarray, int]:
+    """Merge the labels that meet in one boundary class, to a fixpoint,
+    and number the merged clusters densely in order of their smallest
+    label."""
+    rep = np.arange(n)
+    at = labels[:, sites]
+    rows = np.arange(len(labels))[:, None]
+    while True:
+        r = rep[at]
+        low = np.full((len(labels), n_classes), n)
+        np.minimum.at(low, (rows, classes), r)
+        target = low[:, classes]
+        if np.array_equal(target, r):
+            break
+        np.minimum.at(rep, r, target)
+        while True:  # point every label at its current root
+            nxt = rep[rep]
+            if np.array_equal(nxt, rep):
+                break
+            rep = nxt
+    root = rep == np.arange(n)
+    dense = np.cumsum(root) - 1
+    return dense[rep][labels], int(root.sum())
 
 
 def cluster_count(config: BondConfig, bc: BoundaryCondition = FREE) -> int:
     """Number of pi-clusters: open-bond components after gluing the
     boundary partition's classes."""
     bc.validate(config.box)
-    ds = _site_components(config.box, config.state, bc)
-    return len({ds.find(i) for i in range(config.box.n_sites)})
+    return label_sites(config.box, config.state[None], bc)[1]
 
 
 def log_weight(config: BondConfig, params: FKParams) -> float:
@@ -229,11 +275,38 @@ def finite_energy_floor(params: FKParams) -> float:
 # Markov kernels
 
 
-def _connected_off_bond(config: BondConfig, params: FKParams, bond_idx: int) -> bool:
-    box = config.box
-    ds = _site_components(box, config.state, params.boundary, skip_bond=bond_idx)
-    a, b = box.bond_sites[bond_idx]
-    return ds.find(int(a)) == ds.find(int(b))
+class _DisjointSet:
+    """Array disjoint-set forest with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
+def _connected_off_bond(n_sites: int, ends: list, state: list,
+                        groups: list, bond: int) -> bool:
+    """Whether the endpoints of ``bond`` are joined by the other open bonds
+    or a boundary class; ``ends`` and ``state`` are per-bond lists."""
+    ds = _DisjointSet(n_sites)
+    for i, (a, b) in enumerate(ends):
+        if state[i] and i != bond:
+            ds.union(a, b)
+    for group in groups:
+        for j in group[1:]:
+            ds.union(group[0], j)
+    a, b = ends[bond]
+    return ds.find(a) == ds.find(b)
 
 
 def heatbath_step(config: BondConfig, params: FKParams, e: Bond,
@@ -243,9 +316,12 @@ def heatbath_step(config: BondConfig, params: FKParams, e: Bond,
     Open probability is p when the endpoints are connected off e (opening
     does not change the cluster count) and p / (p + q(1-p)) otherwise.
     """
-    i = config.box.bond_index[e]
+    box = config.box
+    i = box.bond_index[e]
     p, q = params.p, params.q
-    if _connected_off_bond(config, params, i):
+    if _connected_off_bond(box.n_sites, box.bond_sites.tolist(),
+                           config.state.tolist(),
+                           params.boundary.class_lists(box), i):
         p_open = p
     else:
         p_open = p / (p + q * (1.0 - p))
@@ -259,17 +335,15 @@ def heatbath_sweep(config: BondConfig, params: FKParams,
     """Systematic scan: one heat-bath update of every bond in order."""
     box = config.box
     p, q = params.p, params.q
-    state = config.state.copy()
-    us = rng.random(box.n_bonds)
+    p_apart = p / (p + q * (1.0 - p))
+    ends = box.bond_sites.tolist()
+    groups = params.boundary.class_lists(box)
+    state = config.state.tolist()
+    us = rng.random(box.n_bonds).tolist()
     for i in range(box.n_bonds):
-        ds = _site_components(box, state, params.boundary, skip_bond=i)
-        a, b = box.bond_sites[i]
-        if ds.find(int(a)) == ds.find(int(b)):
-            p_open = p
-        else:
-            p_open = p / (p + q * (1.0 - p))
-        state[i] = 1 if us[i] < p_open else 0
-    return BondConfig(box, state)
+        joined = _connected_off_bond(box.n_sites, ends, state, groups, i)
+        state[i] = 1 if us[i] < (p if joined else p_apart) else 0
+    return BondConfig(box, np.array(state, dtype=np.uint8))
 
 
 def swendsen_wang_step(config: BondConfig, params: FKParams,
@@ -283,18 +357,12 @@ def swendsen_wang_step(config: BondConfig, params: FKParams,
     if not params.integer_q:
         raise ValueError("cluster sweep needs integer q; use heatbath_sweep")
     box = config.box
-    q = int(round(params.q))
-    ds = _site_components(box, config.state, params.boundary)
-    roots = np.fromiter((ds.find(i) for i in range(box.n_sites)),
-                        dtype=np.int64, count=box.n_sites)
-    # dense relabel so we can draw one color per component
-    _, comp = np.unique(roots, return_inverse=True)
-    colors = rng.integers(0, q, size=comp.max() + 1)
-    site_color = colors[comp]
-    bs = box.bond_sites
-    same = site_color[bs[:, 0]] == site_color[bs[:, 1]]
-    new_state = np.where(same, (rng.random(box.n_bonds) < params.p), False)
-    return BondConfig(box, new_state.astype(np.uint8))
+    labels, n = label_sites(box, config.state[None], params.boundary)
+    colors = rng.integers(0, int(round(params.q)), size=n)
+    ends = colors.take(labels[0]).take(box.bond_sites.T)
+    same = ends[0] == ends[1]
+    new_state = same & (rng.random(box.n_bonds) < params.p)
+    return BondConfig(box, new_state.view(np.uint8))
 
 
 def sweep(config: BondConfig, params: FKParams,
@@ -342,13 +410,6 @@ def sample_states(params: FKParams, box: Box, n_samples: int,
             config = sweep(config, params, rng)
         out[s] = config.state
     return out
-
-
-def sample_many(params: FKParams, box: Box, n_samples: int,
-                thinning: int = 10, burn_in: int | None = None,
-                seed=0) -> list[BondConfig]:
-    states = sample_states(params, box, n_samples, thinning, burn_in, seed)
-    return [BondConfig(box, row) for row in states]
 
 
 # ---------------------------------------------------------------------------

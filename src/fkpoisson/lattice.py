@@ -88,23 +88,34 @@ class Box:
         return sum((xi - lo) * st for xi, lo, st in zip(x, self.lower, self._strides))
 
     @cached_property
-    def bonds(self) -> tuple[Bond, ...]:
-        """All bonds with both endpoints inside, in canonical order.
+    def offsets(self) -> np.ndarray:
+        """(n_sites, d) int64 offsets of the sites from the lower corner,
+        in row-major site order."""
+        return np.indices(self.sides, dtype=np.int64).reshape(self.d, -1).T
+
+    @cached_property
+    def bond_sites(self) -> np.ndarray:
+        """(n_bonds, 2) int array of endpoint site indices, in canonical
+        bond order.
 
         Order: per site (row-major), per axis 0..d-1, the bond to the
         +e_axis neighbour when it lies in the box.
         """
-        out = []
-        for x in self.sites:
-            for k in range(self.d):
-                y = x[:k] + (x[k] + 1,) + x[k + 1:]
-                if self.contains(y):
-                    out.append((x, y))
-        return tuple(out)
+        inner = self.offsets < np.array(self.sides) - 1
+        site, axis = np.nonzero(inner)
+        strides = np.array(self._strides, dtype=np.int64)
+        return np.stack([site, site + strides[axis]], axis=1)
 
-    @property
+    @cached_property
     def n_bonds(self) -> int:
-        return len(self.bonds)
+        return sum((s - 1) * (self.n_sites // s) for s in self.sides)
+
+    @cached_property
+    def bonds(self) -> tuple[Bond, ...]:
+        """All bonds with both endpoints inside, in canonical order (see
+        ``bond_sites``), as pairs of sites."""
+        sites = self.sites
+        return tuple((sites[a], sites[b]) for a, b in self.bond_sites.tolist())
 
     @cached_property
     def bond_index(self) -> dict[Bond, int]:
@@ -115,37 +126,41 @@ class Box:
         return idx
 
     @cached_property
-    def bond_sites(self) -> np.ndarray:
-        """(n_bonds, 2) int array of endpoint site indices."""
-        arr = np.empty((self.n_bonds, 2), dtype=np.int64)
-        for i, (a, b) in enumerate(self.bonds):
-            arr[i, 0] = self.site_index(a)
-            arr[i, 1] = self.site_index(b)
-        return arr
+    def site_bonds(self) -> tuple[tuple[int, ...], ...]:
+        """Per site, the indices of its incident bonds, ascending."""
+        ends = self.bond_sites.reshape(-1)
+        bond = (np.argsort(ends, kind="stable") // 2).tolist()
+        stops = np.cumsum(np.bincount(ends, minlength=self.n_sites)).tolist()
+        return tuple(tuple(bond[a:b]) for a, b in zip([0] + stops, stops))
 
     @cached_property
-    def site_bonds(self) -> tuple[tuple[int, ...], ...]:
-        """Per site, the indices of its incident bonds."""
-        inc: list[list[int]] = [[] for _ in range(self.n_sites)]
-        for i, (ia, ib) in enumerate(self.bond_sites):
-            inc[ia].append(i)
-            inc[ib].append(i)
-        return tuple(tuple(v) for v in inc)
+    def boundary_indices(self) -> np.ndarray:
+        """Row-major indices of the sites with at least one nearest
+        neighbour outside the box, ascending."""
+        off = self.offsets
+        return np.flatnonzero(((off == 0)
+                               | (off == np.array(self.sides) - 1)).any(axis=1))
 
     @cached_property
     def boundary(self) -> frozenset[Site]:
         """Sites with at least one nearest neighbour outside the box."""
-        out = set()
-        for x in self.sites:
-            if any(xi == lo or xi == hi
-                   for xi, lo, hi in zip(x, self.lower, self.upper)):
-                out.add(x)
-        return frozenset(out)
+        sites = self.sites
+        return frozenset(sites[i] for i in self.boundary_indices.tolist())
 
     @cached_property
-    def boundary_indices(self) -> np.ndarray:
-        return np.array(sorted(self.site_index(x) for x in self.boundary),
-                        dtype=np.int64)
+    def doubled_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grid of ``2 * sides - 1`` cells on which site x sits at cell
+        ``2 * (x - lower)`` and each bond at the cell between its endpoints:
+        (read-only bool grid true at the site cells, flat cell of each site,
+        flat cell of each bond)."""
+        shape = tuple(2 * s - 1 for s in self.sides)
+        site_cells = np.ravel_multi_index(2 * self.offsets.T, shape)
+        bs = self.bond_sites
+        bond_cells = (site_cells[bs[:, 0]] + site_cells[bs[:, 1]]) // 2
+        grid = np.zeros(shape, dtype=bool)
+        grid.flat[site_cells] = True
+        grid.flags.writeable = False
+        return grid, site_cells, bond_cells
 
     def neighbors_in(self, x: Site) -> list[Site]:
         out = []

@@ -128,8 +128,7 @@ def _cluster_tables(box: Box) -> ClusterTables:
     on_boundary[box.boundary_indices] = 1.0
     # coordinates relative to the lower corner: floor(mean(x)) - lower is
     # floor(mean(x - lower)), and the offsets are never negative
-    offsets = np.array(box.sites, dtype=np.int64).reshape(s, box.d) \
-        - np.array(box.lower, dtype=np.int64)
+    offsets = box.offsets
     for rows in _chunks(n_configs):
         lab = _label(_open_bonds(rows, box.n_bonds), box.bond_sites, s)
         n = len(lab)

@@ -13,7 +13,9 @@ singleton fattened by l rasterizes to a cube of side 2l + 1.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+
 import numpy as np
 
 from .census import Cluster, PointField
@@ -66,7 +68,6 @@ class ShapeMask:
         """Header (dimension, resolution, anchor, grid shape) followed by a
         run-length encoding of the flattened occupancy, starting with the
         length of the initial empty run."""
-        import struct
         head = struct.pack("<BI", self.d, self.cells_per_unit)
         head += struct.pack(f"<{self.d}q", *self.lower_cells)
         head += struct.pack(f"<{self.d}q", *self.grid.shape)
@@ -85,14 +86,35 @@ class ShapeMask:
 
     @staticmethod
     def from_bytes(buf: bytes) -> "ShapeMask":
-        import struct
-        d, cpu = struct.unpack_from("<BI", buf, 0)
-        off = 5
-        lower = struct.unpack_from(f"<{d}q", buf, off); off += 8 * d
-        shape = struct.unpack_from(f"<{d}q", buf, off); off += 8 * d
-        (n_runs,) = struct.unpack_from("<I", buf, off); off += 4
-        runs = struct.unpack_from(f"<{n_runs}Q", buf, off)
-        flat = np.zeros(int(np.prod(shape)), dtype=bool)
+        """Inverse of ``to_bytes``.  Raises ValueError unless ``buf`` is
+        exactly one well-formed record: a short header, a run table shorter
+        or longer than its count, runs that do not cover the grid, or
+        trailing bytes are rejected."""
+        off = 0
+
+        def take(fmt: str) -> tuple:
+            nonlocal off
+            size = struct.calcsize(fmt)
+            if off + size > len(buf):
+                raise ValueError(f"shape record truncated at byte "
+                                 f"{len(buf)}; it needs {off + size}")
+            values = struct.unpack_from(fmt, buf, off)
+            off += size
+            return values
+
+        d, cpu = take("<BI")
+        lower = take(f"<{d}q")
+        shape = take(f"<{d}q")
+        (n_runs,) = take("<I")
+        if len(buf) != off + 8 * n_runs:
+            raise ValueError(f"shape record is {len(buf)} bytes, expected "
+                             f"{off + 8 * n_runs} for {n_runs} runs")
+        runs = take(f"<{n_runs}Q")
+        size = math.prod(shape)
+        if min(shape, default=0) < 1 or sum(runs) != size:
+            raise ValueError(f"runs cover {sum(runs)} cells of a "
+                             f"{'x'.join(map(str, shape))} grid")
+        flat = np.zeros(size, dtype=bool)
         pos, val = 0, False
         for r in runs:
             if val:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from fkpoisson.census import (census_from_configs, census_q1_d2,
-                              decay_rate, estimate_px_lambda,
+                              census_sampled, decay_rate, estimate_px_lambda,
                               estimate_px_lambda_census, label_clusters,
-                              label_clusters_bfs, mass_center, point_process,
-                              theta_estimate)
-from fkpoisson.fk import BondConfig, FKParams
+                              mass_center, point_process, theta_estimate)
+from fkpoisson.fk import WIRED, BondConfig, FKParams, sample_states
 from fkpoisson.lattice import Box
+from reference_labelers import label_clusters_bfs
 
 
 def random_config(box, p, seed):
@@ -156,6 +156,27 @@ def test_estimate_px_all_zero():
               for _ in range(5)]
     est = estimate_px_lambda(fields, (1,))
     assert est.px == 0.0 and est.lam_direct == 0.0
+
+
+@pytest.mark.parametrize("box, params, min_size", [
+    (Box((-3,), (9,)), FKParams(0.7, 2.0), 1),
+    (Box((-2, 1), (5, 6)), FKParams(0.6, 2.0), 2),
+    (Box((0, 0), (6, 6)), FKParams(0.6, 3.0, WIRED), 3),
+    (Box((-1, -1, 0), (3, 3, 3)), FKParams(0.35, 2.0), 1),
+])
+def test_census_sampled_rows_equal_cluster_rows(box, params, min_size):
+    args = (params, box, 12, 2, 10, 8)
+    fast = census_sampled(*args, min_size=min_size, origin=box.center)
+    configs = [BondConfig(box, s) for s in sample_states(*args)]
+    ref = census_from_configs(configs, box, min_size, origin=box.center)
+    assert fast.n_samples == ref.n_samples
+    for field in ("sample_id", "size", "center", "touches", "origin_size",
+                  "origin_touches"):
+        a, b = getattr(fast, field), getattr(ref, field)
+        assert a.dtype == b.dtype, field
+        assert a.tolist() == b.tolist(), field  # row order included
+    plain = census_sampled(*args)
+    assert plain.origin_size is None and plain.n_rows >= fast.n_rows
 
 
 def test_census_fast_path_matches_labeler():

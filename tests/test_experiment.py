@@ -137,6 +137,44 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "rep000" / "report.json").exists()
 
 
+_SAMPLE = {"sides": [4, 4], "p": 0.5, "q": 2.0, "samples": 2,
+           "burn_in": 2}
+_CHENSTEIN = {"sides": [4, 4], "p": 0.5, "q": 1.0, "samples": 20, "n": 2}
+_COUPLING = {"sides": [5, 5], "p": 0.5, "q": 2.0, "pairs": 2, "burn_in": 2}
+_WULFF = {"sides": [4, 4], "p": 0.5, "q": 1.0, "samples": 5, "n": 2}
+
+
+@pytest.mark.parametrize("subcommand, config, field", [
+    ("sample", dict(_SAMPLE, p=True), "p"),
+    ("sample", dict(_SAMPLE, samples=True), "samples"),
+    ("sample", dict(_SAMPLE, lower=[0.5, 0]), "lower"),
+    ("sample", dict(_SAMPLE, lower=[0]), "lower"),
+    ("sample", dict(_SAMPLE, seed=-1), "seed"),
+    ("chenstein", dict(_CHENSTEIN, neighborhood_side=4), "neighborhood_side"),
+    ("chenstein", dict(_CHENSTEIN, min_bin=0), "min_bin"),
+    ("coupling", dict(_COUPLING, gamma_sides=[0]), "gamma_sides"),
+    ("coupling", dict(_COUPLING, separations=[]), "separations"),
+    ("coupling", dict(_COUPLING, dump_outcomes=-1), "dump_outcomes"),
+    ("oracle", {"sides": [2, 2], "p": 0.5, "q": 2.0, "n": 1,
+                "surrogate": "some"}, "surrogate"),
+    ("wulff", dict(_WULFF, cells_per_unit=3), "cells_per_unit"),
+    ("wulff", dict(_WULFF, shape_side=0), "shape_side"),
+    ("wulff", dict(_WULFF, f_width=-1), "f_width"),
+    ("surgery", {"sides": [4, 4], "p": 0.5, "instances": 1,
+                 "count_antecedents": 1}, "count_antecedents"),
+    ("decay", {"p": 0.5, "q": 1.0, "n_schedule": [2], "samples": 5,
+               "box_factor": 0}, "box_factor"),
+])
+def test_cli_rejects_bad_field(tmp_path, capsys, subcommand, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main([subcommand, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config: config field {field!r}:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rep000").exists()
+
+
 def test_cli_resource_cap_exit_3(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -238,6 +276,37 @@ def test_run_threads_deterministic(tmp_path):
     m1 = run("census", cfg, str(tmp_path / "t1"), replicas=2, threads=2)
     m2 = run("census", cfg, str(tmp_path / "t2"), replicas=2, threads=1)
     assert m1["chain_hash"] == m2["chain_hash"]
+
+
+def read_fkc(path):
+    from fkpoisson.fk import config_from_bytes
+    blob = open(path, "rb").read()
+    out = []
+    off = 0
+    while off < len(blob):
+        ln = int.from_bytes(blob[off:off + 4], "little")
+        out.append(config_from_bytes(blob[off + 4:off + 4 + ln])[0])
+        off += 4 + ln
+    return out
+
+
+def test_sample_and_census_draw_the_same_states(tmp_path):
+    # census rows can be checked against the states `sample` writes only
+    # because both subcommands draw the same chain from one config
+    from fkpoisson.census import census_from_configs
+    cfg = {"sides": [7, 6], "p": 0.62, "q": 2.0, "samples": 6,
+           "thinning": 2, "burn_in": 15, "seed": 41}
+    run("sample", cfg, str(tmp_path / "s"))
+    run("census", dict(cfg, n=2), str(tmp_path / "c"))
+    configs = read_fkc(tmp_path / "s" / "rep000" / "samples.fkc")
+    ref = census_from_configs(configs, configs[0].box, min_size=2)
+    rows = [json.loads(line)
+            for line in open(tmp_path / "c" / "rep000" / "census.jsonl")]
+    assert rows == [{"sample": int(i), "size": int(z),
+                     "mass_center": [int(v) for v in c],
+                     "touches_boundary": bool(t)}
+                    for i, z, c, t in zip(ref.sample_id, ref.size,
+                                          ref.center, ref.touches)]
 
 
 def test_run_sample_roundtrip(tmp_path):

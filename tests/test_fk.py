@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkpoisson import oracle
 from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
                           FKParams, cluster_count, config_from_bytes,
                           config_to_bytes, finite_energy_floor,
-                          heatbath_step, log_weight, sample, sample_states,
-                          swendsen_wang_step, weight)
+                          heatbath_step, label_sites, log_weight, sample,
+                          sample_states, swendsen_wang_step, weight)
 from fkpoisson.lattice import Box
+from reference_labelers import label_clusters_bfs
 
 SINGLE = Box((0,), (2,))
 
@@ -33,6 +35,52 @@ def test_cluster_count_examples():
         BondConfig.all_closed(b33),
         BoundaryCondition.partition([set(b33.boundary)]))
     assert merged == 2
+
+
+@st.composite
+def boundaries(draw, box):
+    """free, wired, or a random partition of the box boundary."""
+    kind = draw(st.sampled_from(["free", "wired", "partition"]))
+    if kind != "partition":
+        return BoundaryCondition(kind)
+    n_classes = draw(st.integers(1, len(box.boundary)))
+    classes = [set() for _ in range(n_classes)]
+    for site in sorted(box.boundary):
+        classes[draw(st.integers(0, n_classes - 1))].add(site)
+    return BoundaryCondition.partition(c for c in classes if c)
+
+
+@st.composite
+def labeled_batches(draw):
+    """A box of dimension 1-3 (lower corner possibly negative), a boundary
+    condition and a batch of 1-3 random states."""
+    d = draw(st.integers(1, 3))
+    lower = tuple(draw(st.integers(-4, 3)) for _ in range(d))
+    sides = tuple(draw(st.integers(1, (7, 5, 3)[d - 1])) for _ in range(d))
+    box = Box(lower, sides)
+    bc = draw(boundaries(box))
+    n_configs = draw(st.integers(1, 3))
+    bits = draw(st.lists(st.booleans(), min_size=n_configs * box.n_bonds,
+                         max_size=n_configs * box.n_bonds))
+    states = np.array(bits, dtype=np.uint8).reshape(n_configs, box.n_bonds)
+    return box, bc, states
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_batches())
+def test_label_sites_matches_graph_search(batch):
+    box, bc, states = batch
+    labels, n = label_sites(box, states, bc)
+    assert labels.shape == (len(states), box.n_sites)
+    offset = 0
+    for state, row in zip(states, labels):
+        cs = label_clusters_bfs(BondConfig(box, state), bc)
+        # same clusters, numbered in order of their smallest site, each
+        # configuration continuing where the one before it stopped
+        expect = [offset + cs.site_cluster[x] for x in box.sites]
+        assert row.tolist() == expect
+        offset += len(cs.clusters)
+    assert n == offset
 
 
 def test_partition_validation():
@@ -168,6 +216,31 @@ def test_swendsen_wang_requires_integer_q():
     with pytest.raises(ValueError):
         swendsen_wang_step(BondConfig.all_open(SINGLE), FKParams(0.5, 1.5),
                            np.random.default_rng(0))
+
+
+def sampler_tv(params, box, seed, n=20_000):
+    dist = oracle.enumerate_measure(box, params)
+    states = sample_states(params, box, n, thinning=3, burn_in=100,
+                           seed=seed)
+    idx = states.astype(np.int64) @ (1 << np.arange(box.n_bonds))
+    freq = np.bincount(idx, minlength=dist.n_configs) / n
+    return float(np.abs(freq - dist.probs).sum())
+
+
+def test_swendsen_wang_matches_oracle_glued_boundaries():
+    # on a 2x2 box every site is a boundary site; 20000 draws put the
+    # empirical TV of a correct sampler near 0.02, while a sweep that
+    # ignored the gluing would sample the free measure, 0.69 (partition)
+    # and 0.84 (wired) away
+    box = Box.cube(2, 2)
+    diagonals = BoundaryCondition.partition([{(0, 0), (1, 1)},
+                                             {(0, 1), (1, 0)}])
+    for bc, seed in ((WIRED, 31), (diagonals, 32)):
+        params = FKParams(0.5, 3.0, bc)
+        assert sampler_tv(params, box, seed) < 0.05
+        free = oracle.enumerate_measure(box, FKParams(0.5, 3.0))
+        glued = oracle.enumerate_measure(box, params)
+        assert np.abs(free.probs - glued.probs).sum() > 0.5
 
 
 def test_sample_deterministic():

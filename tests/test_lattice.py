@@ -5,6 +5,7 @@ import pytest
 
 from fkpoisson.lattice import (Box, bonds_of, boundary, l1, pair_order,
                                pair_sort_key, set_distance, star_neighbors)
+from reference_labelers import tuple_tables
 
 
 def brute_force_bonds(box):
@@ -39,6 +40,35 @@ def test_bonds_count_closed_form_random_shapes():
                      for a in range(d))
         assert len(bonds_of(box)) == expect
         assert len(set(bonds_of(box))) == len(bonds_of(box))
+
+
+def test_array_tables_equal_tuple_tables():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 4):
+        for _ in range(8):
+            sides = tuple(int(rng.integers(1, 5)) for _ in range(d))
+            lower = tuple(int(rng.integers(-4, 4)) for _ in range(d))
+            box = Box(lower, sides)
+            ref = tuple_tables(box)
+            assert box.bonds == ref["bonds"]  # canonical order included
+            assert box.n_bonds == ref["n_bonds"]
+            assert box.bond_sites.tolist() == ref["bond_sites"].tolist()
+            assert box.site_bonds == ref["site_bonds"]
+            assert box.boundary == ref["boundary"]
+            assert box.boundary_indices.tolist() \
+                == ref["boundary_indices"].tolist()
+            assert box.offsets.tolist() == [
+                [xi - lo for xi, lo in zip(x, lower)] for x in box.sites]
+
+
+def test_doubled_grid_cells():
+    box = Box((-1, 2), (2, 3))
+    grid, site_cells, bond_cells = box.doubled_grid
+    assert grid.shape == (3, 5)
+    assert np.flatnonzero(grid).tolist() == site_cells.tolist()
+    for (a, b), cell in zip(box.bonds, bond_cells):
+        mid = [xa + xb - 2 * lo for xa, xb, lo in zip(a, b, box.lower)]
+        assert np.ravel_multi_index(mid, grid.shape) == cell
 
 
 def test_boundary_examples():

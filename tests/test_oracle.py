@@ -9,9 +9,10 @@ import pytest
 
 from fkpoisson import oracle
 from fkpoisson.census import label_clusters, mass_center
-from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, DisjointSet,
-                          FKParams, ResourceCapError)
+from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, FKParams,
+                          ResourceCapError)
 from fkpoisson.lattice import Box
+from reference_labelers import DisjointSet
 
 CHAIN4 = Box((0,), (4,))
 CHAIN6 = Box((0,), (6,))

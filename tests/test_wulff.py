@@ -1,7 +1,11 @@
 import math
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkpoisson.census import label_clusters, point_process
 from fkpoisson.fk import BondConfig
@@ -172,6 +176,49 @@ def test_shape_mask_rle_roundtrip():
         assert back.cells_per_unit == 16
         assert back.lower_cells == (-3, 7)
         assert np.array_equal(back.grid, mask.grid)
+
+
+@st.composite
+def shape_masks(draw):
+    """A mask of dimension 1-3 with a random anchor and occupancy."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(d))
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    lower = tuple(draw(st.integers(-2 ** 40, 2 ** 40)) for _ in range(d))
+    return ShapeMask(draw(st.integers(1, 2 ** 32 - 1)), lower,
+                     np.array(bits, dtype=bool).reshape(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_masks())
+def test_shape_mask_roundtrip_property(mask):
+    back = ShapeMask.from_bytes(mask.to_bytes())
+    assert back.cells_per_unit == mask.cells_per_unit
+    assert back.lower_cells == mask.lower_cells
+    assert back.grid.shape == mask.grid.shape
+    assert np.array_equal(back.grid, mask.grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape_masks(), st.binary(min_size=1, max_size=16))
+def test_shape_mask_rejects_truncated_or_padded(mask, extra):
+    blob = mask.to_bytes()
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            ShapeMask.from_bytes(blob[:cut])
+    with pytest.raises(ValueError):
+        ShapeMask.from_bytes(blob + extra)
+
+
+def test_shape_mask_rejects_runs_that_miss_the_grid():
+    head = struct.pack("<BI2q2q", 2, 4, 0, 0, 2, 3)
+    for runs in ([5], [2, 5], [0, 7]):
+        blob = head + struct.pack(f"<I{len(runs)}Q", len(runs), *runs)
+        with pytest.raises(ValueError, match="runs cover"):
+            ShapeMask.from_bytes(blob)
+    ok = head + struct.pack("<I2Q", 2, 2, 4)
+    assert ShapeMask.from_bytes(ok).grid.sum() == 4
 
 
 def test_empirical_shape_symmetric_under_flips():
