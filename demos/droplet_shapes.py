@@ -9,7 +9,7 @@ candidate shape.
 import numpy as np
 
 from fkpoisson import Box
-from fkpoisson.census import census_q1_d2, label_clusters, point_process
+from fkpoisson.census import label_clusters, point_process
 from fkpoisson.fk import BondConfig
 from fkpoisson.wulff import (empirical_shape, square_shape,
                              symmetric_difference_stat)

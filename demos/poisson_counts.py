@@ -4,12 +4,12 @@ Counts of n-large finite clusters in a supercritical box are compared to
 a Poisson law with the plugged-in mean.  As n grows the clusters become
 rarer and less correlated, so the total variation distance should drop.
 """
-from fkpoisson import Box
-from fkpoisson.census import census_q1_d2
+from fkpoisson import Box, FKParams
+from fkpoisson.census import census_sampled
 from fkpoisson.chenstein import poisson_count_test
 
 box = Box.cube(2, 96)
-census = census_q1_d2(box, p=0.7, n_samples=4000, seed=7, min_size=4)
+census = census_sampled(FKParams(0.7, 1.0), box, 4000, seed=7, min_size=4)
 
 print("96x96 box, p=0.7, q=1, 4000 samples")
 print(f"{'n':>4} {'lambda':>8} {'tv':>8}  bootstrap 95%")

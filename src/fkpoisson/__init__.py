@@ -11,9 +11,9 @@ from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  heatbath_sweep, label_sites, log_weight, sample,
                  sample_states, swendsen_wang_step, weight)
 from .census import (Census, Cluster, ClusterSet, DecayEstimate, PointField,
-                     census_from_configs, census_q1_d2, census_sampled,
-                     decay_rate, estimate_px_lambda, label_clusters,
-                     mass_center, point_process, theta_estimate)
+                     census_from_states, census_sampled, decay_rate,
+                     estimate_px_lambda, label_clusters, mass_center,
+                     point_process, state_chunks, theta_estimate)
 from .oracle import (ExactDistribution, PatternLaw, conjecture7_check,
                      enumerate_measure, event_probability,
                      exact_point_process_law, exact_px_field,

@@ -17,8 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-
 from .fk import BondConfig, FKParams, label_sites, sample_states
 from .lattice import Box, Site
 
@@ -147,6 +145,10 @@ class Census:
     no information for any estimator with n >= min_size).  When origin
     tracking is on, per-sample size and boundary contact of the cluster
     containing ``origin`` are kept as well.
+
+    Rows come in label order: by sample, then by each cluster's smallest
+    site, so row r is the r-th cluster of size >= min_size in the labels
+    ``fk.label_sites`` gives the same states (see ``cluster_rows``).
     """
 
     box: Box
@@ -208,59 +210,77 @@ class Census:
             }) + "\n")
 
 
-def census_from_cluster_sets(cluster_sets, box: Box, min_size: int = 1,
-                             origin: Site | None = None) -> Census:
-    sample_id, size, center, touches = [], [], [], []
-    osize, otouch = [], []
-    count = 0
-    for sid, cs in enumerate(cluster_sets):
-        count += 1
-        for c in cs.clusters:
-            if c.size >= min_size:
-                sample_id.append(sid)
-                size.append(c.size)
-                center.append(c.mass_center)
-                touches.append(c.touches_boundary)
-        if origin is not None:
-            oc = cs.cluster_of(origin)
-            osize.append(oc.size)
-            otouch.append(oc.touches_boundary)
-    d = box.d
-    return Census(
-        box, count,
-        np.array(sample_id, dtype=np.int64),
-        np.array(size, dtype=np.int64),
-        np.array(center, dtype=np.int64).reshape(-1, d),
-        np.array(touches, dtype=bool),
-        min_size=min_size,
-        origin=origin,
-        origin_size=np.array(osize, dtype=np.int64) if origin else None,
-        origin_touches=np.array(otouch, dtype=bool) if origin else None,
-    )
+def census_from_states(box: Box, states: np.ndarray, min_size: int = 1,
+                       origin: Site | None = None) -> Census:
+    """Census of the configurations in a (samples, n_bonds) state array."""
+    return _census(box, [states], min_size, origin)
 
 
-def census_from_configs(configs, box: Box, min_size: int = 1,
-                        origin: Site | None = None) -> Census:
-    return census_from_cluster_sets(
-        (label_clusters(c) for c in configs), box, min_size, origin)
+# samples per direct q = 1 draw; fixes the order of the random numbers
+_Q1_CHUNK = 256
+
+
+def state_chunks(params: FKParams, box: Box, n_samples: int,
+                 thinning: int = 10, burn_in: int | None = None, seed=0):
+    """Samples of the FK measure as (samples, n_bonds) uint8 arrays.
+
+    At q = 1 the measure is a product of Bernoulli(p) bonds under every
+    boundary condition, so the samples are drawn directly, 256 to a chunk:
+    one ``rng.random`` call per axis, last axis first, each shaped like that
+    axis's bonds (``thinning`` and ``burn_in`` do not apply).  Other q come
+    as one chunk of ``sample_states``.
+    """
+    if params.q != 1.0:
+        yield sample_states(params, box, n_samples, thinning, burn_in, seed)
+        return
+    params.boundary.validate(box)
+    rng = np.random.default_rng(seed)
+    bs = box.bond_sites
+    axis = (box.offsets[bs[:, 1]] - box.offsets[bs[:, 0]]) @ np.arange(box.d)
+    for first in range(0, n_samples, _Q1_CHUNK):
+        m = min(_Q1_CHUNK, n_samples - first)
+        chunk = np.empty((m, box.n_bonds), dtype=np.uint8)
+        for k in reversed(range(box.d)):
+            shape = box.sides[:k] + (box.sides[k] - 1,) + box.sides[k + 1:]
+            chunk[:, axis == k] = (rng.random((m,) + shape) < params.p
+                                   ).reshape(m, -1)
+        yield chunk
 
 
 def census_sampled(params: FKParams, box: Box, n_samples: int,
                    thinning: int = 10, burn_in: int | None = None, seed=0,
                    min_size: int = 1, origin: Site | None = None) -> Census:
-    """Census of ``sample_states`` draws: the rows ``census_from_configs``
-    would give, built from label arrays by ``bincount``."""
-    states = sample_states(params, box, n_samples, thinning, burn_in, seed)
+    """Census of ``state_chunks`` draws, holding one chunk at a time."""
+    return _census(box, state_chunks(params, box, n_samples, thinning,
+                                     burn_in, seed), min_size, origin)
+
+
+def _census(box: Box, chunks, min_size: int, origin: Site | None) -> Census:
     # configurations per labeling call: about 2^22 grid cells at most
     per_call = max(1, (1 << 22) // (4 * box.n_sites))
-    parts = [_census_rows(box, states[i:i + per_call], i, min_size, origin)
-             for i in range(0, n_samples, per_call)]
+    parts, done = [], 0
+    for states in chunks:
+        parts += [_census_rows(box, states[i:i + per_call], done + i,
+                               min_size, origin)
+                  for i in range(0, len(states), per_call)]
+        done += len(states)
+    if not parts:
+        raise ValueError("no samples")
     sid, size, center, touches, osz, oto = (
         np.concatenate(col) if col[0] is not None else None
         for col in zip(*parts))
-    return Census(box, n_samples, sid, size, center, touches,
+    return Census(box, done, sid, size, center, touches,
                   min_size=min_size, origin=origin,
                   origin_size=osz, origin_touches=oto)
+
+
+def cluster_rows(box: Box, states: np.ndarray, min_size: int):
+    """``label_sites`` labels of ``states``, the size of every cluster, and
+    the labels of the clusters that a census with ``min_size`` keeps, in
+    row order."""
+    labels, n = label_sites(box, states)
+    size = np.bincount(labels.reshape(-1), minlength=n)
+    return labels, size, np.flatnonzero(size >= min_size)
 
 
 def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
@@ -268,14 +288,14 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
     """Rows of the open-bond clusters of ``states``, samples numbered from
     ``first``: (sample id, size, mass center, boundary contact) per row,
     plus per-sample origin-cluster size and contact when origin is set."""
-    labels, n = label_sites(box, states)
+    labels, size, keep = cluster_rows(box, states, min_size)
+    n = len(size)
     flat = labels.reshape(-1)
-    size = np.bincount(flat, minlength=n)
-    owner = np.empty(n, dtype=np.int64)
-    owner[labels] = np.arange(first, first + len(states))[:, None]
+    # each sample's labels are one range, starting at its first site's
+    owner = np.repeat(np.arange(first, first + len(states)),
+                      np.diff(labels[:, 0], append=n))
     touches = np.zeros(n, dtype=bool)
     touches[labels[:, box.boundary_indices]] = True
-    keep = np.flatnonzero(size >= min_size)
     center = np.empty((len(keep), box.d), dtype=np.int64)
     for k in range(box.d):
         coord = np.tile(box.offsets[:, k], len(states))
@@ -287,108 +307,6 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
         ol = labels[:, box.site_index(origin)]
         osz, oto = size[ol], touches[ol]
     return owner[keep], size[keep], center, touches[keep], osz, oto
-
-
-# ---------------------------------------------------------------------------
-# fast independent-bond census for d = 2, q = 1
-#
-# At q = 1 the measure is product Bernoulli(p) over bonds, so samples are
-# drawn directly.  Labeling uses the doubled grid: sites at even-even
-# cells, bonds at the odd cells between them, and a single 4-connected
-# scipy.ndimage.label call.  Many samples are tiled into one image
-# (separated by closed gap rows/columns) per label call.
-
-
-def _census_tile_d2(box: Box, p: float, n_samples: int, rng,
-                    min_size: int, origin: Site | None,
-                    tiles_per_call: int = 256):
-    lx, ly = box.sides
-    gx, gy = 2 * lx - 1, 2 * ly - 1
-    rows_out: list[tuple[np.ndarray, ...]] = []
-    osz = np.zeros(n_samples, dtype=np.int64) if origin is not None else None
-    oto = np.zeros(n_samples, dtype=bool) if origin is not None else None
-    if origin is not None:
-        oi = origin[0] - box.lower[0]
-        oj = origin[1] - box.lower[1]
-
-    done = 0
-    while done < n_samples:
-        nt = min(tiles_per_call, n_samples - done)
-        r = int(np.ceil(np.sqrt(nt)))
-        cgrid = np.zeros((r * (gx + 1), r * (gy + 1)), dtype=bool)
-        hb = rng.random((nt, lx, ly - 1)) < p
-        vb = rng.random((nt, lx - 1, ly)) < p
-        for t in range(nt):
-            ox, oy = (t // r) * (gx + 1), (t % r) * (gy + 1)
-            tile = cgrid[ox:ox + gx, oy:oy + gy]
-            tile[::2, ::2] = True
-            tile[::2, 1::2] = hb[t]
-            tile[1::2, ::2] = vb[t]
-        labels, n_lab = ndimage.label(cgrid)
-        if n_lab == 0:
-            done += nt
-            continue
-        # per-label stats from site cells only
-        site_labels = np.zeros((nt, lx, ly), dtype=np.int64)
-        for t in range(nt):
-            ox, oy = (t // r) * (gx + 1), (t % r) * (gy + 1)
-            site_labels[t] = labels[ox:ox + gx:2, oy:oy + gy:2]
-        flat = site_labels.reshape(nt, -1)
-        lab_flat = flat.ravel()
-        sizes = np.bincount(lab_flat, minlength=n_lab + 1)
-        ii = np.broadcast_to(np.arange(lx)[:, None], (lx, ly)).ravel()
-        jj = np.broadcast_to(np.arange(ly)[None, :], (lx, ly)).ravel()
-        ii = np.tile(ii, nt)
-        jj = np.tile(jj, nt)
-        sum_i = np.bincount(lab_flat, weights=ii, minlength=n_lab + 1)
-        sum_j = np.bincount(lab_flat, weights=jj, minlength=n_lab + 1)
-        # boundary contact per label
-        edge = np.concatenate([
-            site_labels[:, 0, :].ravel(), site_labels[:, -1, :].ravel(),
-            site_labels[:, :, 0].ravel(), site_labels[:, :, -1].ravel()])
-        touch = np.zeros(n_lab + 1, dtype=bool)
-        touch[np.unique(edge)] = True
-        # owning sample of each label
-        owner = np.full(n_lab + 1, -1, dtype=np.int64)
-        tidx = np.repeat(np.arange(nt), lx * ly)
-        owner[lab_flat] = tidx  # labels never span tiles
-        keep = np.flatnonzero(sizes >= min_size)
-        keep = keep[keep > 0]
-        cen_i = (sum_i[keep] // sizes[keep]).astype(np.int64) + box.lower[0]
-        cen_j = (sum_j[keep] // sizes[keep]).astype(np.int64) + box.lower[1]
-        rows_out.append((owner[keep] + done, sizes[keep],
-                         np.stack([cen_i, cen_j], axis=1), touch[keep]))
-        if origin is not None:
-            ol = site_labels[:, oi, oj]
-            osz[done:done + nt] = sizes[ol]
-            oto[done:done + nt] = touch[ol]
-        done += nt
-    if rows_out:
-        sid = np.concatenate([r[0] for r in rows_out])
-        size = np.concatenate([r[1] for r in rows_out])
-        center = np.concatenate([r[2] for r in rows_out])
-        touches = np.concatenate([r[3] for r in rows_out])
-    else:
-        sid = np.empty(0, dtype=np.int64)
-        size = np.empty(0, dtype=np.int64)
-        center = np.empty((0, 2), dtype=np.int64)
-        touches = np.empty(0, dtype=bool)
-    return sid, size, center, touches, osz, oto
-
-
-def census_q1_d2(box: Box, p: float, n_samples: int, seed=0,
-                 min_size: int = 1, origin: Site | None = None) -> Census:
-    """Direct product-measure census for q = 1 in dimension two."""
-    if box.d != 2:
-        raise ValueError("census_q1_d2 requires a two-dimensional box")
-    rng = np.random.default_rng(seed)
-    sid, size, center, touches, osz, oto = _census_tile_d2(
-        box, p, n_samples, rng, min_size, origin)
-    # mass-center floor must round toward -inf; the tile path sums offsets
-    # from the lower corner, so the division above is already a true floor.
-    return Census(box, n_samples, sid, size, center, touches,
-                  min_size=min_size, origin=origin,
-                  origin_size=osz, origin_touches=oto)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +429,8 @@ def decay_rate(params: FKParams, boxes: list[Box], n_schedule: list[int],
 
     Each threshold n gets its own (origin-centered) box, which must be
     large enough that clusters of the scheduled sizes fit without touching
-    the boundary.  q = 1 in d = 2 uses direct product sampling; other
-    parameters run the Markov chain sampler (desk scale only).
+    the boundary.  q = 1 uses direct product sampling; other parameters
+    run the Markov chain sampler (desk scale only).
     """
     n_schedule = list(n_schedule)
     if isinstance(samples_per_n, int):
@@ -526,13 +444,8 @@ def decay_rate(params: FKParams, boxes: list[Box], n_schedule: list[int],
         seed = np.random.SeedSequence(seed)
     rng_seeds = seed.spawn(len(n_schedule))
     for n, box, m, ss in zip(n_schedule, boxes, samples_per_n, rng_seeds):
-        origin = box.center
-        if params.q == 1.0 and box.d == 2:
-            cen = census_q1_d2(box, params.p, m, seed=ss,
-                               min_size=n, origin=origin)
-        else:
-            cen = census_sampled(params, box, m, thinning, burn_in, ss,
-                                 min_size=n, origin=origin)
+        cen = census_sampled(params, box, m, thinning, burn_in, ss,
+                             min_size=n, origin=box.center)
         scale = n ** expo
         ok = (~cen.origin_touches) & (cen.origin_size >= n)
         hits = int(ok.sum())

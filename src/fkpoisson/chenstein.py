@@ -22,9 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .census import Census
+from .census import Census, cluster_rows
 from .fk import FKParams, ResourceCapError
-from .lattice import Box, Site, set_distance
+from .lattice import Box, Site
 from . import oracle
 
 
@@ -87,7 +87,7 @@ class PairStats:
             raise ValueError(f"no pair estimates for offsets {missing}")
 
 
-def estimate_pxy(samples, box: Box, n: int, offsets=None,
+def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
                  K: float = 5.0) -> PairStats:
     """Empirical pair probabilities of qualifying mass centers.
 
@@ -97,68 +97,110 @@ def estimate_pxy(samples, box: Box, n: int, offsets=None,
     close and a distant part at cluster distance K ln n; the two parts add
     up to the windowed estimate exactly, being an event partition.
 
-    ``samples`` is an iterable of ClusterSets sharing ``box``.
+    ``census`` holds the rows of ``states``, the (samples, n_bonds) array
+    it was built from; sizes, centers and boundary contact come from its
+    rows, cluster sites for the distance from one labeling of ``states``.
     """
+    box = census.box
+    if census.n_samples == 0:
+        raise ValueError("no samples")
+    if len(states) != census.n_samples:
+        raise ValueError("states and census differ in sample count")
     d = box.d
     if offsets is None:
         offsets = neighborhood_offsets(n, d)
-    offsets = [tuple(z) for z in offsets]
-    oset = set(offsets)
+    offsets = list(dict.fromkeys(tuple(z) for z in offsets))
     cut = K * math.log(n) if n > 1 else 0.0
+    sides = np.array(box.sides)
 
-    sides = box.sides
-    positions = {z: int(np.prod([max(0, s - abs(zk)) for s, zk in zip(sides, z)]))
-                 for z in offsets}
-    acc = {z: np.zeros(4) for z in offsets}       # pxy, local, close, distant
-    acc_sq = {z: 0.0 for z in offsets}            # for the plain-part SE
-    pair_samples = {z: 0 for z in offsets}
-    n_samples = 0
-    for cs in samples:
-        n_samples += 1
-        quals = [c for c in cs.clusters
-                 if not c.touches_boundary and c.size >= n]
-        if len(quals) < 2:
-            continue
-        hits = {z: [set(), set(), set(), set()] for z in oset}
-        any_hit = set()
-        for a in quals:
-            ca = a.mass_center
-            for b in quals:
-                if a is b:
-                    continue
-                z = tuple(cb - cak for cb, cak in zip(b.mass_center, ca))
-                if z not in oset:
-                    continue
-                rec = hits[z]
-                rec[0].add(ca)
-                if a.size < n * n and b.size < n * n:
-                    rec[1].add(ca)
-                    if set_distance(a.sites, b.sites) <= cut:
-                        rec[2].add(ca)
-                    else:
-                        rec[3].add(ca)
-                any_hit.add(z)
-        for z in any_hit:
-            rec = hits[z]
-            counts = np.array([len(s) for s in rec], dtype=float)
-            acc[z] += counts
-            acc_sq[z] += counts[0] ** 2
-            pair_samples[z] += 1
-    if n_samples == 0:
-        raise ValueError("no samples")
+    # offset index of every center difference, -1 where it is not asked for
+    span = 2 * sides - 1
+    lookup = np.full(int(np.prod(span)), -1, dtype=np.int64)
+    for j, z in enumerate(offsets):
+        if len(z) == d and all(abs(zk) < s for zk, s in zip(z, box.sides)):
+            lookup[np.ravel_multi_index(np.add(z, sides - 1), span)] = j
 
+    # ordered pairs (a, b), a != b, of qualifying rows of one sample; rows
+    # come sorted by sample, so each sample's rows are one run
+    rows = np.flatnonzero(census.qualifying(n))
+    sid = census.sample_id[rows]
+    group = np.bincount(sid)[sid]
+    a = np.repeat(np.arange(len(rows)), group)
+    b = np.repeat(np.searchsorted(sid, sid), group) + np.arange(len(a)) \
+        - np.repeat(np.cumsum(group) - group, group)
+    a, b = a[a != b], b[a != b]
+    center = census.center[rows] - np.array(box.lower)
+    zi = lookup[np.ravel_multi_index((center[b] - center[a] + sides - 1).T,
+                                     span)]
+    hit = zi >= 0
+    a, b, zi = a[hit], b[hit], zi[hit]
+    size = census.size[rows]
+    local = (size[a] < n * n) & (size[b] < n * n)
+    close = np.zeros(len(a), dtype=bool)
+    close[local] = _cluster_distance(census, states, rows[a[local]],
+                                     rows[b[local]]) <= cut
+
+    # distinct positions x per (sample, offset) in each event, with keys
+    # (sample * n_off + offset) * n_sites + x
+    n_off = len(offsets)
+    key = (sid[a] * n_off + zi) * box.n_sites \
+        + np.ravel_multi_index(center[a].T, box.sides)
+    acc = np.zeros((n_off, 4))
+    for col, mask in enumerate((slice(None), local, local & close,
+                                local & ~close)):
+        acc[:, col] = np.bincount(np.unique(key[mask]) // box.n_sites
+                                  % n_off, minlength=n_off)
+    per_sample, count = np.unique(np.unique(key) // box.n_sites,
+                                  return_counts=True)
+    acc_sq = np.bincount(per_sample % n_off,
+                         weights=count.astype(float) ** 2, minlength=n_off)
+    pair_samples = np.bincount(per_sample % n_off, minlength=n_off)
+
+    n_samples = census.n_samples
     out = {}
-    for z in offsets:
-        npos = positions[z]
+    for j, z in enumerate(offsets):
+        npos = int(np.prod([max(0, s - abs(zk)) for s, zk in zip(box.sides, z)]))
         if npos == 0:
             continue
-        tot = acc[z] / (n_samples * npos)
-        mean_c = acc[z][0] / n_samples
-        var_c = acc_sq[z] / n_samples - mean_c ** 2
+        tot = acc[j] / (n_samples * npos)
+        mean_c = acc[j][0] / n_samples
+        var_c = acc_sq[j] / n_samples - mean_c ** 2
         se = math.sqrt(max(var_c, 0.0) / n_samples) / npos
         out[z] = OffsetStat(z, npos, tot[0], se, tot[1], tot[2], tot[3],
-                            pair_samples[z])
+                            int(pair_samples[j]))
     return PairStats(n, K, n_samples, box, out)
+
+
+def _cluster_distance(census: Census, states: np.ndarray, ra: np.ndarray,
+                      rb: np.ndarray) -> np.ndarray:
+    """Least L1 distance between the sites of the clusters of census rows
+    ``ra`` and those of rows ``rb``, pair by pair."""
+    out = np.empty(len(ra), dtype=np.int64)
+    if len(ra) == 0:
+        return out
+    labels, size, row_label = cluster_rows(census.box, states,
+                                           census.min_size)
+    if len(row_label) != census.n_rows:
+        raise ValueError("census rows do not match the states")
+    # flat (sample, site) positions grouped by label, each group in site order
+    order = np.argsort(labels.reshape(-1), kind="stable")
+    first = np.cumsum(size) - size
+    coords = census.box.offsets
+    n_sites = census.box.n_sites
+    m = int(max(census.size[ra].max(), census.size[rb].max()))
+
+    def sites(r):
+        la = row_label[r]
+        j = np.minimum(np.arange(m), size[la][:, None] - 1)
+        return coords[order[first[la][:, None] + j] % n_sites]
+
+    # a cluster padded with copies of its last site keeps its distance
+    step = max(1, (1 << 20) // (m * m))
+    for i in range(0, len(ra), step):
+        sa, sb = sites(ra[i:i + step]), sites(rb[i:i + step])
+        dist = np.abs(sa[:, :, None, :] - sb[:, None, :, :]).sum(axis=3)
+        out[i:i + step] = dist.min(axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

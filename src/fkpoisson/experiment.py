@@ -18,11 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import chenstein, coupling, oracle, surgery as surgery_mod, wulff as wulff_mod
-from .census import (Census, census_q1_d2, census_sampled, decay_rate,
-                     label_clusters)
+from .census import (census_from_states, census_sampled, decay_rate,
+                     label_clusters, point_process, state_chunks)
 from .fk import (FREE, WIRED, BondConfig, FKParams, config_to_bytes,
                  sample_states)
-from .lattice import Box
+from .lattice import Box, set_distance
 
 
 class ConfigError(ValueError):
@@ -239,20 +239,21 @@ def _run_sample(config, seed_seq, out_dir):
     return [path], None
 
 
-def _build_census(config, seed_seq) -> Census:
-    box = _box_of(config)
-    params = _params_of(config)
-    min_size = config.get("min_size", config.get("n", 1))
-    if params.q == 1.0 and box.d == 2 and params.boundary.kind == "free":
-        return census_q1_d2(box, params.p, config["samples"], seed=seed_seq,
-                            min_size=min_size, origin=box.center)
-    return census_sampled(params, box, config["samples"],
-                          config.get("thinning", 10), config.get("burn_in"),
-                          seed_seq, min_size=min_size, origin=box.center)
+def _sampler_args(config, seed_seq) -> tuple:
+    return (_params_of(config), _box_of(config), config["samples"],
+            config.get("thinning", 10), config.get("burn_in"), seed_seq)
+
+
+def _replica_states(config, seed_seq) -> np.ndarray:
+    """The replica's sample set, drawn as ``census_sampled`` draws it."""
+    return np.concatenate(list(state_chunks(*_sampler_args(config,
+                                                           seed_seq))))
 
 
 def _run_census(config, seed_seq, out_dir):
-    census = _build_census(config, seed_seq)
+    census = census_sampled(*_sampler_args(config, seed_seq),
+                            min_size=config.get("min_size", config["n"]),
+                            origin=_box_of(config).center)
     n = config["n"]
     jsonl = os.path.join(out_dir, "census.jsonl")
     with open(jsonl, "w") as fh:
@@ -276,23 +277,22 @@ def _run_chenstein(config, seed_seq, out_dir):
     box = _box_of(config)
     params = _params_of(config)
     n = config["n"]
-    census = _build_census(config, seed_seq)
+    states = _replica_states(config, seed_seq)
+    census = census_from_states(box, states, n)
     side = config.get("neighborhood_side")
     px = census.px_field(n)
     counts = census.counts_per_sample(n)
-    # pair estimates need cluster geometry: rebuild sets at desk scale
-    states = _resample_states(config, seed_seq, box, params)
-    cluster_sets = [label_clusters(BondConfig(box, s)) for s in states]
-    stats = chenstein.estimate_pxy(cluster_sets, box, n, K=config["K"])
+    stats = chenstein.estimate_pxy(census, states, n, K=config["K"])
     b1, b2 = chenstein.compute_b1_b2(px, stats, box, n, side)
     stack = chenstein.field_stack(census, n)
+    b3_seed, pois_seed = seed_seq.spawn(2)
     b3 = chenstein.compute_b3_stratified(stack, box, n, side,
                                          config.get("min_bin", 100),
-                                         seed=seed_seq)
+                                         seed=b3_seed)
     bound = chenstein.tv_bound(b1, b2, b3, float((px ** 2).sum()))
     if not isinstance(bound, tuple):
         bound = (bound, bound)
-    pois = chenstein.poisson_count_test(counts, seed=seed_seq)
+    pois = chenstein.poisson_count_test(counts, seed=pois_seed)
     report = chenstein.ChenSteinReport(
         n, box.sides, side or (2 * chenstein.neighborhood_halfwidth(n) + 1),
         config["K"], census.n_samples, float(counts.mean()), b1, b2,
@@ -314,21 +314,6 @@ def _run_chenstein(config, seed_seq, out_dir):
     path = os.path.join(out_dir, "report.json")
     _write_json(path, doc)
     return [path], None
-
-
-def _resample_states(config, seed_seq, box, params):
-    """Deterministic auxiliary sample set for geometry-dependent estimates."""
-    child = np.random.SeedSequence([int(config["seed"]), 0xC1])
-    if params.q == 1.0:
-        rng = np.random.default_rng(child)
-        return (rng.random((config["samples"], box.n_bonds)) < params.p
-                ).astype(np.uint8)
-    if box.n_bonds <= 16:
-        dist = oracle.enumerate_measure(box, params)
-        return oracle.sample_exact(dist, config["samples"], seed=child)
-    return sample_states(params, box, config["samples"],
-                         config.get("thinning", 10), config.get("burn_in"),
-                         child)
 
 
 def _run_oracle(config, seed_seq, out_dir):
@@ -373,7 +358,6 @@ def _run_surgery(config, seed_seq, out_dir):
     rows = []
     instances = surgery_mod.random_close_pairs(
         box, params.p, config["instances"], seed=seed_seq,
-        min_size=config.get("min_size", 1),
         max_distance=config.get("max_distance"))
     for cfg, ca, cb in instances:
         res = surgery_mod.transform(cfg, ca, cb)
@@ -421,9 +405,11 @@ def _run_coupling(config, seed_seq, out_dir):
         table.to_csv(fh)
     seps = config.get("separations", [1, 2, 3])
     pairs = _separation_bond_pairs(box, seps)
+    # the children after the two that influence_decay spawned
+    mix_seed, wired_seed, free_seed = seed_seq.spawn(3)
     states = sample_states(params, box, config["pairs"],
                            config.get("thinning", 5), config.get("burn_in"),
-                           np.random.SeedSequence([int(config["seed"]), 77]))
+                           mix_seed)
     mix = coupling.mixing_scan(states, box, pairs)
     mix_path = os.path.join(out_dir, "mixing.csv")
     with open(mix_path, "w") as fh:
@@ -432,13 +418,12 @@ def _run_coupling(config, seed_seq, out_dir):
     n_dump = int(config.get("dump_outcomes", 0))
     if n_dump > 0:
         gamma = gammas[-1][1]
-        ss2 = np.random.SeedSequence([int(config["seed"]), 101]).spawn(2)
         sw = sample_states(FKParams(params.p, params.q, WIRED), box, n_dump,
                            config.get("thinning", 5), config.get("burn_in"),
-                           ss2[0])
+                           wired_seed)
         sf = sample_states(FKParams(params.p, params.q, FREE), box, n_dump,
                            config.get("thinning", 5), config.get("burn_in"),
-                           ss2[1])
+                           free_seed)
         out_path = os.path.join(out_dir, "outcomes.jsonl")
         with open(out_path, "w") as fh:
             for a, b in zip(sw, sf):
@@ -467,8 +452,7 @@ def _separation_bond_pairs(box: Box, separations):
         target = None
         for bond in box.bonds:
             if bond[0][0] == a[0] and bond[1][0] == b[0]:
-                from .lattice import set_distance as sd
-                if sd({bond[0], bond[1]}, {a, b}) == s:
+                if set_distance({bond[0], bond[1]}, {a, b}) == s:
                     target = bond
                     break
         if target is not None:
@@ -478,10 +462,9 @@ def _separation_bond_pairs(box: Box, separations):
 
 def _run_wulff(config, seed_seq, out_dir):
     box = _box_of(config)
-    params = _params_of(config)
     n = config["n"]
-    states = _resample_states(config, seed_seq, box, params)
-    sets = [label_clusters(BondConfig(box, s)) for s in states]
+    sets = [label_clusters(BondConfig(box, s))
+            for s in _replica_states(config, seed_seq)]
     cpu = config.get("cells_per_unit", wulff_mod.DEFAULT_CELLS_PER_UNIT)
     if "shape_side" in config:
         shape = wulff_mod.square_shape(config["shape_side"], cpu, box.d)
@@ -490,7 +473,6 @@ def _run_wulff(config, seed_seq, out_dir):
     width = config.get("f_width", default_f_width(n))
     delta = config.get("delta", 0.1)
     rows = []
-    from .census import point_process
     for cs in sets:
         pf = point_process(cs, n)
         quals = [c for c in cs.clusters
@@ -512,7 +494,9 @@ def _run_wulff(config, seed_seq, out_dir):
 
 
 def _run_decay(config, seed_seq, out_dir):
-    params = FKParams(float(config["p"]), float(config["q"]))
+    """Tail rates on origin-centered square boxes (d = 2) under the
+    config's boundary condition."""
+    params = _params_of(config)
     factor = config.get("box_factor", 3)
     sched = config["n_schedule"]
     d = 2

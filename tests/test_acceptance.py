@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from fkpoisson import chenstein, oracle
-from fkpoisson.census import (census_from_cluster_sets, census_q1_d2,
+from fkpoisson.census import (census_from_states, census_sampled,
                               decay_rate, label_clusters)
 from fkpoisson.chenstein import (compute_b1_b2, compute_b3_exact,
                                  compute_b3_stratified, estimate_pxy,
@@ -131,11 +131,10 @@ def test_criterion_04_estimators_match_oracle():
     xc = chain.site_index((3,))
     for _ in range(blocks):
         bits = (rng.random((per_block, chain.n_bonds)) < p).astype(np.uint8)
-        sets = [label_clusters(BondConfig(chain, s)) for s in bits]
-        census = census_from_cluster_sets(sets, chain, min_size=n)
+        census = census_from_states(chain, bits, n)
         px_hat = census.px_field(n)
         wanted = chenstein.neighborhood_offsets(n, 1) + [(-3,), (3,)]
-        stats = estimate_pxy(sets, chain, n, offsets=wanted)
+        stats = estimate_pxy(census, bits, n, offsets=wanted)
         b1_hat, b2_hat = compute_b1_b2(px_hat, stats, chain, n)
         rows["px"].append(px_hat[xc])
         rows["b1"].append(b1_hat)
@@ -165,9 +164,7 @@ def test_criterion_04_estimators_match_oracle():
     dist6 = oracle.enumerate_measure(box6, FKParams(0.5, 2.0))
     exact_b3 = compute_b3_exact(dist6, 2, side=1).lo
     states = oracle.sample_exact(dist6, 1_000_000, seed=405)
-    cen6 = census_from_cluster_sets(
-        (label_clusters(BondConfig(box6, s)) for s in states), box6,
-        min_size=2)
+    cen6 = census_from_states(box6, states, 2)
     strat = compute_b3_stratified(field_stack(cen6, 2), box6, 2, side=1,
                                   min_bin=100, seed=406)
     b3_ok = strat.lo - 3 * strat.se <= exact_b3 <= strat.hi + 3 * strat.se
@@ -327,7 +324,8 @@ def test_criterion_08_mixing_scan_vs_oracle():
 def test_criterion_09_poisson_count_signature():
     t0 = time.perf_counter()
     box = Box.cube(2, 128)
-    census = census_q1_d2(box, 0.7, 10_000, seed=909, min_size=5)
+    census = census_sampled(FKParams(0.7, 1.0), box, 10_000, seed=909,
+                            min_size=5)
     results = []
     for i, n in enumerate((5, 10, 20)):
         counts = census.counts_per_sample(n)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fkpoisson.census import (census_from_configs, census_q1_d2,
-                              census_sampled, decay_rate, estimate_px_lambda,
-                              estimate_px_lambda_census, label_clusters,
-                              mass_center, point_process, theta_estimate)
-from fkpoisson.fk import WIRED, BondConfig, FKParams, sample_states
+from fkpoisson.census import (census_from_states, census_sampled, decay_rate,
+                              estimate_px_lambda, estimate_px_lambda_census,
+                              label_clusters, mass_center, point_process,
+                              theta_estimate)
+from fkpoisson.fk import FREE, WIRED, BondConfig, FKParams, sample_states
 from fkpoisson.lattice import Box
-from reference_labelers import label_clusters_bfs
+from reference_labelers import census_rows_bfs, label_clusters_bfs
 
 
 def random_config(box, p, seed):
@@ -167,63 +167,74 @@ def test_estimate_px_all_zero():
 def test_census_sampled_rows_equal_cluster_rows(box, params, min_size):
     args = (params, box, 12, 2, 10, 8)
     fast = census_sampled(*args, min_size=min_size, origin=box.center)
-    configs = [BondConfig(box, s) for s in sample_states(*args)]
-    ref = census_from_configs(configs, box, min_size, origin=box.center)
-    assert fast.n_samples == ref.n_samples
-    for field in ("sample_id", "size", "center", "touches", "origin_size",
-                  "origin_touches"):
-        a, b = getattr(fast, field), getattr(ref, field)
-        assert a.dtype == b.dtype, field
-        assert a.tolist() == b.tolist(), field  # row order included
+    ref = census_rows_bfs(box, sample_states(*args), min_size, box.center)
+    assert fast.n_samples == 12
+    assert_rows_equal(fast, ref)
     plain = census_sampled(*args)
     assert plain.origin_size is None and plain.n_rows >= fast.n_rows
 
 
+def assert_rows_equal(census, ref):
+    """Census columns equal the reference's, row order included."""
+    for field, dtype in (("sample_id", np.int64), ("size", np.int64),
+                         ("center", np.int64), ("touches", bool),
+                         ("origin_size", np.int64),
+                         ("origin_touches", bool)):
+        col = getattr(census, field)
+        if col is None:
+            assert ref[field] == [], field
+            continue
+        assert col.dtype == dtype, field
+        assert col.tolist() == ref[field], field
+
+
+def q1_draws_2d(box, p, n_samples, seed):
+    """States drawn as the q = 1 census draws them in d = 2: chunks of 256
+    samples, the bonds along the second axis first."""
+    rng = np.random.default_rng(seed)
+    lx, ly = box.sides
+    states = []
+    for first in range(0, n_samples, 256):
+        m = min(256, n_samples - first)
+        hb = rng.random((m, lx, ly - 1)) < p
+        vb = rng.random((m, lx - 1, ly)) < p
+        for t in range(m):
+            state = np.zeros(box.n_bonds, dtype=np.uint8)
+            for bi, (a, b) in enumerate(box.bonds):
+                i, j = a[0] - box.lower[0], a[1] - box.lower[1]
+                state[bi] = vb[t, i, j] if a[0] != b[0] else hb[t, i, j]
+            states.append(state)
+    return np.array(states)
+
+
 def test_census_fast_path_matches_labeler():
     box = Box.cube(2, 5)
-    p, n_samp = 0.55, 30
-    fast = census_q1_d2(box, p, n_samp, seed=21, min_size=1,
-                        origin=box.center)
-    rng = np.random.default_rng(21)
-    lx, ly = box.sides
-    hb = rng.random((n_samp, lx, ly - 1)) < p
-    vb = rng.random((n_samp, lx - 1, ly)) < p
-    configs = []
-    for t in range(n_samp):
-        state = np.zeros(box.n_bonds, dtype=np.uint8)
-        for bi, (a, b) in enumerate(box.bonds):
-            i, j = a[0] - box.lower[0], a[1] - box.lower[1]
-            if a[0] != b[0]:
-                state[bi] = vb[t, i, j]
-            else:
-                state[bi] = hb[t, i, j]
-        configs.append(BondConfig(box, state))
-    slow = census_from_configs(configs, box, min_size=1, origin=box.center)
+    fast = census_sampled(FKParams(0.55, 1.0), box, 30, seed=21,
+                          origin=box.center)
+    states = q1_draws_2d(box, 0.55, 30, 21)
+    assert_rows_equal(fast, census_rows_bfs(box, states, 1, box.center))
 
-    def rows(c):
-        return sorted(zip(c.sample_id.tolist(), c.size.tolist(),
-                          map(tuple, c.center.tolist()),
-                          c.touches.tolist()))
-    assert rows(fast) == rows(slow)
-    assert np.array_equal(fast.origin_size, slow.origin_size)
-    assert np.array_equal(fast.origin_touches, slow.origin_touches)
+
+def test_census_q1_draw_order_across_chunks():
+    # 600 samples span three draw chunks; the boundary condition does not
+    # change the q = 1 draws
+    box = Box((1, -2), (5, 7))
+    states = q1_draws_2d(box, 0.5, 600, 33)
+    ref = census_rows_bfs(box, states, 2, box.center)
+    for bc in (FREE, WIRED):
+        assert_rows_equal(census_sampled(FKParams(0.5, 1.0, bc), box, 600,
+                                         seed=33, min_size=2,
+                                         origin=box.center), ref)
+    assert_rows_equal(census_from_states(box, states, 2, box.center), ref)
 
 
 def test_census_estimators_match_pointfields():
     box = Box.cube(2, 5)
-    cen = census_q1_d2(box, 0.6, 200, seed=9, min_size=2, origin=box.center)
+    cen = census_sampled(FKParams(0.6, 1.0), box, 200, seed=9, min_size=2,
+                         origin=box.center)
     est = estimate_px_lambda_census(cen, 2, box.center)
-    rng = np.random.default_rng(9)
-    lx, ly = box.sides
-    hb = rng.random((200, lx, ly - 1)) < 0.6
-    vb = rng.random((200, lx - 1, ly)) < 0.6
-    fields = []
-    for t in range(200):
-        state = np.zeros(box.n_bonds, dtype=np.uint8)
-        for bi, (a, b) in enumerate(box.bonds):
-            i, j = a[0], a[1]
-            state[bi] = vb[t, i, j] if a[0] != b[0] else hb[t, i, j]
-        fields.append(point_process(label_clusters(BondConfig(box, state)), 2))
+    fields = [point_process(label_clusters(BondConfig(box, state)), 2)
+              for state in q1_draws_2d(box, 0.6, 200, 9)]
     ref = estimate_px_lambda(fields, box.center)
     assert est.px == pytest.approx(ref.px)
     assert est.lam_direct == pytest.approx(ref.lam_direct)

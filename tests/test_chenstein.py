@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fkpoisson import chenstein, oracle
-from fkpoisson.census import census_from_configs, label_clusters
+from fkpoisson.census import census_from_states, label_clusters
 from fkpoisson.chenstein import (compute_b1_b2, compute_b3,
                                  compute_b3_exact, compute_b3_stratified,
                                  estimate_pxy, exact_bound_instance,
@@ -12,14 +12,19 @@ from fkpoisson.chenstein import (compute_b1_b2, compute_b3,
                                  poisson_count_test, tv_bound)
 from fkpoisson.fk import BondConfig, FKParams
 from fkpoisson.lattice import Box
+from reference_labelers import estimate_pxy_sets
 
 CHAIN8 = Box((0,), (8,))
 
 
-def bernoulli_configs(box, p, n, seed):
+def bernoulli_states(box, p, n, seed):
     rng = np.random.default_rng(seed)
-    states = (rng.random((n, box.n_bonds)) < p).astype(np.uint8)
-    return [BondConfig(box, s) for s in states]
+    return (rng.random((n, box.n_bonds)) < p).astype(np.uint8)
+
+
+def pxy_of(box, states, n, **kwargs):
+    return estimate_pxy(census_from_states(box, states, n), states, n,
+                        **kwargs)
 
 
 def test_neighborhood_examples():
@@ -36,15 +41,13 @@ def test_neighborhood_examples():
 
 def test_estimate_pxy_too_large_n_gives_zero():
     box = Box((0,), (6,))
-    sets = [label_clusters(c) for c in bernoulli_configs(box, 0.5, 50, 0)]
-    stats = estimate_pxy(sets, box, n=4)
+    stats = pxy_of(box, bernoulli_states(box, 0.5, 50, 0), 4)
     assert all(st.pxy == 0.0 for st in stats.offsets.values())
 
 
 def test_estimate_pxy_close_plus_distant():
     box = Box((0,), (12,))
-    sets = [label_clusters(c) for c in bernoulli_configs(box, 0.6, 400, 1)]
-    stats = estimate_pxy(sets, box, n=2, K=2.0)
+    stats = pxy_of(box, bernoulli_states(box, 0.6, 400, 1), 2, K=2.0)
     for st in stats.offsets.values():
         assert st.close + st.distant == pytest.approx(st.local, abs=1e-12)
         assert st.pxy >= st.local - 1e-12
@@ -56,8 +59,8 @@ def test_estimate_pxy_vs_oracle_chain():
     params = FKParams(p, 1.0)
     dist = oracle.enumerate_measure(CHAIN8, params)
     mat = oracle.exact_pxy_matrix(dist, n)
-    sets = [label_clusters(c) for c in bernoulli_configs(CHAIN8, p, 60000, 4)]
-    stats = estimate_pxy(sets, CHAIN8, n, offsets=[(3,), (4,)])
+    stats = pxy_of(CHAIN8, bernoulli_states(CHAIN8, p, 60000, 4), n,
+                   offsets=[(3,), (4,)])
     for z in [(3,), (4,)]:
         exact = np.mean([mat[CHAIN8.site_index((x,)),
                              CHAIN8.site_index((x + z[0],))]
@@ -66,18 +69,68 @@ def test_estimate_pxy_vs_oracle_chain():
         assert abs(st.pxy - exact) <= 3 * max(st.pxy_se, 1e-6)
 
 
+def assert_pair_stats_equal(box, states, n, **kwargs):
+    sets = [label_clusters(BondConfig(box, s)) for s in states]
+    ref = estimate_pxy_sets(sets, box, n, **kwargs)
+    got = pxy_of(box, states, n, **kwargs)
+    assert (got.n, got.K, got.n_samples, got.box) \
+        == (ref.n, ref.K, ref.n_samples, ref.box)
+    assert list(got.offsets) == list(ref.offsets)
+    for z, st in ref.offsets.items():
+        assert got.offsets[z] == st, z  # field for field, exactly
+    return got
+
+
+@pytest.mark.parametrize("box, p, n", [
+    (Box((0,), (12,)), 0.8, 3),
+    (Box((-2, 1), (8, 7)), 0.55, 2),
+    (Box((0, 0, 0), (4, 5, 4)), 0.3, 2),
+])
+@pytest.mark.parametrize("K", [0.5, 10.0])
+def test_estimate_pxy_matches_cluster_set_reference(box, p, n, K):
+    states = bernoulli_states(box, p, 600, 11)
+    stats = assert_pair_stats_equal(box, states, n, K=K)
+    assert any(st.local > 0 for st in stats.offsets.values())
+
+
+def test_estimate_pxy_close_and_distant_both_seen():
+    box = Box((0, 0), (8, 8))
+    stats = assert_pair_stats_equal(box, bernoulli_states(box, 0.6, 2000, 12),
+                                    2, K=2.0)
+    assert sum(st.close for st in stats.offsets.values()) > 0
+    assert sum(st.distant for st in stats.offsets.values()) > 0
+
+
+def test_estimate_pxy_collision_matches_reference():
+    # a ring of 8 sites and the singleton it encloses share the center
+    # (2, 2) of a 5x5 box; the other samples are random
+    box = Box.cube(2, 5)
+    ring = np.zeros(box.n_bonds, dtype=np.uint8)
+    for i in range(1, 3):
+        for a, b in (((1, i), (1, i + 1)), ((3, i), (3, i + 1)),
+                     ((i, 1), (i + 1, 1)), ((i, 3), (i + 1, 3))):
+            ring[box.bond_index[(a, b)]] = 1
+    states = np.vstack([ring, bernoulli_states(box, 0.3, 40, 13)])
+    cen = census_from_states(box, states, 1)
+    first = cen.qualifying(1) & (cen.sample_id == 0)
+    assert sorted(cen.size[first].tolist()) == [1, 8]
+    assert cen.center[first].tolist() == [[2, 2], [2, 2]]
+    offsets = [(zi, zj) for zi in range(-4, 5) for zj in range(-4, 5)]
+    stats = assert_pair_stats_equal(box, states, 1, offsets=offsets)
+    # the ring sample counts its center once
+    assert stats.offsets[(0, 0)].pxy * 41 * 25 >= 1
+
+
 def test_b1_b2_trivial():
     single = Box((0,), (1,))
     px = np.array([0.25])
-    stats = estimate_pxy([label_clusters(BondConfig.all_closed(single))],
-                         single, n=1, offsets=[])
+    stats = pxy_of(single, np.zeros((1, 0), dtype=np.uint8), 1, offsets=[])
     b1, b2 = compute_b1_b2(px, stats, single, n=1)
     assert b1 == pytest.approx(0.25 ** 2)
     assert b2 == 0.0
 
     box = Box((0,), (5,))
-    sets = [label_clusters(BondConfig.all_closed(box))]
-    stats = estimate_pxy(sets, box, n=2)
+    stats = pxy_of(box, np.zeros((1, box.n_bonds), dtype=np.uint8), 2)
     b1, b2 = compute_b1_b2(np.zeros(5), stats, box, n=2)
     assert b1 == 0.0 and b2 == 0.0
 
@@ -88,12 +141,10 @@ def test_b1_b2_match_oracle_sums():
     dist = oracle.enumerate_measure(CHAIN8, params)
     b1_o, b2_o, px_o = chenstein.exact_b1_b2(dist, n)
     # estimates: plug exact px into the same sums but estimated pxy
-    sets = [label_clusters(c) for c in bernoulli_configs(CHAIN8, p, 60000, 8)]
-    cen = census_from_configs((BondConfig(CHAIN8, c.state)
-                               for c in bernoulli_configs(CHAIN8, p, 60000, 8)),
-                              CHAIN8, min_size=n)
+    states = bernoulli_states(CHAIN8, p, 60000, 8)
+    cen = census_from_states(CHAIN8, states, n)
     px_hat = cen.px_field(n)
-    stats = estimate_pxy(sets, CHAIN8, n)
+    stats = estimate_pxy(cen, states, n)
     b1_h, b2_h = compute_b1_b2(px_hat, stats, CHAIN8, n)
     assert b1_h == pytest.approx(b1_o, rel=0.1)
     assert b2_h == pytest.approx(b2_o, rel=0.25, abs=2e-4)
@@ -101,8 +152,8 @@ def test_b1_b2_match_oracle_sums():
 
 def test_b1_missing_offsets_error():
     box = Box((0,), (8,))
-    sets = [label_clusters(BondConfig.all_closed(box))]
-    stats = estimate_pxy(sets, box, n=2, offsets=[(1,)])
+    stats = pxy_of(box, np.zeros((1, box.n_bonds), dtype=np.uint8), 2,
+                   offsets=[(1,)])
     with pytest.raises(ValueError, match="offsets"):
         compute_b1_b2(np.zeros(8), stats, box, n=2)
 
@@ -144,8 +195,7 @@ def test_b3_stratified_brackets_exact():
     dist = oracle.enumerate_measure(box, params)
     exact = compute_b3_exact(dist, 2, side=1).lo
     states = oracle.sample_exact(dist, 100000, seed=5)
-    cen = census_from_configs((BondConfig(box, s) for s in states),
-                              box, min_size=2)
+    cen = census_from_states(box, states, 2)
     stack = field_stack(cen, 2)
     est = compute_b3_stratified(stack, box, 2, side=1, min_bin=100, seed=1)
     assert est.lo - 3 * est.se <= exact <= est.hi + 3 * est.se

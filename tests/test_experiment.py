@@ -235,6 +235,35 @@ def test_run_chenstein_subcommand(tmp_path, capsys):
     assert doc["exact"]["holds"]
 
 
+def test_chenstein_replicas_get_their_own_pair_tables(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sides": [6, 6], "p": 0.6, "q": 1.0,
+                                    "samples": 300, "n": 2, "seed": 4}))
+    assert main(["chenstein", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "c"), "--replicas", "2"]) == 0
+    docs = [json.load(open(tmp_path / "c" / f"rep00{r}" / "report.json"))
+            for r in (0, 1)]
+    assert docs[0]["px_field"] != docs[1]["px_field"]
+    assert docs[0]["pxy"] != docs[1]["pxy"]
+
+
+def test_run_decay_honours_boundary(tmp_path, monkeypatch):
+    from fkpoisson import experiment
+    from fkpoisson.fk import WIRED
+    seen = []
+    decay_rate = experiment.decay_rate
+
+    def spy(params, *args, **kwargs):
+        seen.append(params)
+        return decay_rate(params, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "decay_rate", spy)
+    cfg = {"p": 0.3, "q": 1.0, "n_schedule": [2], "samples": 50,
+           "boundary": "wired", "seed": 2}
+    run("decay", cfg, str(tmp_path / "d"))
+    assert [prm.boundary for prm in seen] == [WIRED]
+
+
 def test_run_coupling_subcommand(tmp_path):
     cfg = {"sides": [5, 5], "p": 0.9, "q": 2.0, "pairs": 60,
            "thinning": 1, "burn_in": 30, "seed": 7,
@@ -293,13 +322,14 @@ def read_fkc(path):
 def test_sample_and_census_draw_the_same_states(tmp_path):
     # census rows can be checked against the states `sample` writes only
     # because both subcommands draw the same chain from one config
-    from fkpoisson.census import census_from_configs
+    from fkpoisson.census import census_from_states
     cfg = {"sides": [7, 6], "p": 0.62, "q": 2.0, "samples": 6,
            "thinning": 2, "burn_in": 15, "seed": 41}
     run("sample", cfg, str(tmp_path / "s"))
     run("census", dict(cfg, n=2), str(tmp_path / "c"))
     configs = read_fkc(tmp_path / "s" / "rep000" / "samples.fkc")
-    ref = census_from_configs(configs, configs[0].box, min_size=2)
+    ref = census_from_states(configs[0].box,
+                             np.array([c.state for c in configs]), 2)
     rows = [json.loads(line)
             for line in open(tmp_path / "c" / "rep000" / "census.jsonl")]
     assert rows == [{"sample": int(i), "size": int(z),
