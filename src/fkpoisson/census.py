@@ -17,7 +17,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from .fk import BondConfig, FKParams, label_sites, sample_states
+from .fk import (FREE, BondConfig, BoundaryCondition, FKParams, label_sites,
+                 sample_states)
 from .lattice import Box, Site
 
 log = logging.getLogger(__name__)
@@ -146,9 +147,12 @@ class Census:
     tracking is on, per-sample size and boundary contact of the cluster
     containing ``origin`` are kept as well.
 
-    Rows come in label order: by sample, then by each cluster's smallest
-    site, so row r is the r-th cluster of size >= min_size in the labels
-    ``fk.label_sites`` gives the same states (see ``cluster_rows``).
+    Clusters are those of the boundary condition ``boundary``: under a
+    wired or partition boundary the clusters meeting one boundary class
+    are one cluster.  Rows come in label order: by sample, then by each
+    cluster's smallest site, so row r is the r-th cluster of size >=
+    min_size in the labels ``fk.label_sites`` gives the same states under
+    ``boundary`` (see ``cluster_rows``).
     """
 
     box: Box
@@ -161,6 +165,7 @@ class Census:
     origin: Site | None = None
     origin_size: np.ndarray | None = None     # int64 per sample
     origin_touches: np.ndarray | None = None  # bool per sample
+    boundary: BoundaryCondition = FREE
 
     @property
     def n_rows(self) -> int:
@@ -211,9 +216,11 @@ class Census:
 
 
 def census_from_states(box: Box, states: np.ndarray, min_size: int = 1,
-                       origin: Site | None = None) -> Census:
-    """Census of the configurations in a (samples, n_bonds) state array."""
-    return _census(box, [states], min_size, origin)
+                       origin: Site | None = None,
+                       boundary: BoundaryCondition = FREE) -> Census:
+    """Census of the configurations in a (samples, n_bonds) state array,
+    clustered under ``boundary``."""
+    return _census(box, [states], min_size, origin, boundary)
 
 
 # samples per direct q = 1 draw; fixes the order of the random numbers
@@ -250,18 +257,21 @@ def state_chunks(params: FKParams, box: Box, n_samples: int,
 def census_sampled(params: FKParams, box: Box, n_samples: int,
                    thinning: int = 10, burn_in: int | None = None, seed=0,
                    min_size: int = 1, origin: Site | None = None) -> Census:
-    """Census of ``state_chunks`` draws, holding one chunk at a time."""
+    """Census of ``state_chunks`` draws, holding one chunk at a time,
+    clustered under ``params.boundary``."""
     return _census(box, state_chunks(params, box, n_samples, thinning,
-                                     burn_in, seed), min_size, origin)
+                                     burn_in, seed), min_size, origin,
+                   params.boundary)
 
 
-def _census(box: Box, chunks, min_size: int, origin: Site | None) -> Census:
+def _census(box: Box, chunks, min_size: int, origin: Site | None,
+            boundary: BoundaryCondition) -> Census:
     # configurations per labeling call: about 2^22 grid cells at most
     per_call = max(1, (1 << 22) // (4 * box.n_sites))
     parts, done = [], 0
     for states in chunks:
         parts += [_census_rows(box, states[i:i + per_call], done + i,
-                               min_size, origin)
+                               min_size, origin, boundary)
                   for i in range(0, len(states), per_call)]
         done += len(states)
     if not parts:
@@ -271,24 +281,25 @@ def _census(box: Box, chunks, min_size: int, origin: Site | None) -> Census:
         for col in zip(*parts))
     return Census(box, done, sid, size, center, touches,
                   min_size=min_size, origin=origin,
-                  origin_size=osz, origin_touches=oto)
+                  origin_size=osz, origin_touches=oto, boundary=boundary)
 
 
-def cluster_rows(box: Box, states: np.ndarray, min_size: int):
-    """``label_sites`` labels of ``states``, the size of every cluster, and
-    the labels of the clusters that a census with ``min_size`` keeps, in
-    row order."""
-    labels, n = label_sites(box, states)
+def cluster_rows(box: Box, states: np.ndarray, min_size: int,
+                 boundary: BoundaryCondition = FREE):
+    """``label_sites`` labels of ``states`` under ``boundary``, the size of
+    every cluster, and the labels of the clusters that a census with
+    ``min_size`` keeps, in row order."""
+    labels, n = label_sites(box, states, boundary)
     size = np.bincount(labels.reshape(-1), minlength=n)
     return labels, size, np.flatnonzero(size >= min_size)
 
 
 def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
-                 origin: Site | None):
+                 origin: Site | None, boundary: BoundaryCondition):
     """Rows of the open-bond clusters of ``states``, samples numbered from
     ``first``: (sample id, size, mass center, boundary contact) per row,
     plus per-sample origin-cluster size and contact when origin is set."""
-    labels, size, keep = cluster_rows(box, states, min_size)
+    labels, size, keep = cluster_rows(box, states, min_size, boundary)
     n = len(size)
     flat = labels.reshape(-1)
     # each sample's labels are one range, starting at its first site's

@@ -33,22 +33,35 @@ def neighborhood_halfwidth(n: int) -> int:
     return (2 * ((n * n) // 2) + 1) // 2
 
 
+def _halfwidth(n: int, side: int | None) -> int:
+    """Half-width of the dependence box; ``side`` overrides the default
+    odd realization of n^2 (must be odd)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if side is None:
+        return neighborhood_halfwidth(n)
+    if side % 2 != 1:
+        raise ValueError("neighborhood side must be odd")
+    return side // 2
+
+
 def neighborhood(x: Site, n: int, box: Box, side: int | None = None) -> list[Site]:
     """Sites of the dependence box around x, clipped to the sampling box.
 
     ``side`` overrides the default odd realization of n^2 (must be odd).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if side is None:
-        h = neighborhood_halfwidth(n)
-    else:
-        if side % 2 != 1:
-            raise ValueError("neighborhood side must be odd")
-        h = side // 2
+    h = _halfwidth(n, side)
     ranges = [range(max(xi - h, lo), min(xi + h, hi) + 1)
               for xi, lo, hi in zip(x, box.lower, box.upper)]
     return [s for s in product(*ranges)]
+
+
+def _outside_sites(box: Box, n: int, side: int | None) -> list[np.ndarray]:
+    """For every site in row-major order, the indices of the sites outside
+    its dependence box, ascending."""
+    h = _halfwidth(n, side)
+    off = box.offsets
+    return [np.flatnonzero((np.abs(off - o) > h).any(axis=1)) for o in off]
 
 
 def neighborhood_offsets(n: int, d: int, side: int | None = None) -> list[Site]:
@@ -99,7 +112,8 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
 
     ``census`` holds the rows of ``states``, the (samples, n_bonds) array
     it was built from; sizes, centers and boundary contact come from its
-    rows, cluster sites for the distance from one labeling of ``states``.
+    rows, cluster sites for the distance from one labeling of the samples
+    that hold a windowed pair.
     """
     box = census.box
     if census.n_samples == 0:
@@ -174,13 +188,16 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
 def _cluster_distance(census: Census, states: np.ndarray, ra: np.ndarray,
                       rb: np.ndarray) -> np.ndarray:
     """Least L1 distance between the sites of the clusters of census rows
-    ``ra`` and those of rows ``rb``, pair by pair."""
+    ``ra`` and those of rows ``rb``, pair by pair (rows of one sample)."""
     out = np.empty(len(ra), dtype=np.int64)
     if len(ra) == 0:
         return out
-    labels, size, row_label = cluster_rows(census.box, states,
-                                           census.min_size)
-    if len(row_label) != census.n_rows:
+    # label only the samples holding a pair; their census rows are runs
+    held = np.unique(census.sample_id[ra])
+    labels, size, row_label = cluster_rows(census.box, states[held],
+                                           census.min_size, census.boundary)
+    held_rows = np.flatnonzero(np.isin(census.sample_id, held))
+    if len(row_label) != len(held_rows):
         raise ValueError("census rows do not match the states")
     # flat (sample, site) positions grouped by label, each group in site order
     order = np.argsort(labels.reshape(-1), kind="stable")
@@ -190,7 +207,7 @@ def _cluster_distance(census: Census, states: np.ndarray, ra: np.ndarray,
     m = int(max(census.size[ra].max(), census.size[rb].max()))
 
     def sites(r):
-        la = row_label[r]
+        la = row_label[np.searchsorted(held_rows, r)]
         j = np.minimum(np.arange(m), size[la][:, None] - 1)
         return coords[order[first[la][:, None] + j] % n_sites]
 
@@ -281,7 +298,6 @@ class B3Estimate:
     hi: float
     se: float
     method: str
-    populated_mass: float = 1.0
 
     @property
     def point(self) -> float:
@@ -296,14 +312,16 @@ def compute_b3_exact(dist: "oracle.ExactDistribution", n: int,
                      side: int | None = None, variant: str = "plain",
                      surrogate: str = "boundary") -> B3Estimate:
     """sum_x E|E(X(x) - p_x | field outside B_x)| from the exact joint law."""
-    box = dist.box
     law = oracle.exact_point_process_law(dist, n, variant, surrogate)
+    total = _b3_of_law(law, n, side)
+    return B3Estimate(total, total, 0.0, "exact")
+
+
+def _b3_of_law(law: "oracle.PatternLaw", n: int, side: int | None) -> float:
+    """b3 of the center field whose exact law is ``law``."""
     patterns = [(law.unpack(k), p) for k, p in law.table.items()]
     total = 0.0
-    for x in box.sites:
-        xi = box.site_index(x)
-        inside = {box.site_index(y) for y in neighborhood(x, n, box, side)}
-        outside = [i for i in range(box.n_sites) if i not in inside]
+    for xi, outside in enumerate(_outside_sites(law.box, n, side)):
         px = sum(p for f, p in patterns if f[xi])
         groups: dict[bytes, list[float]] = {}
         for f, p in patterns:
@@ -312,7 +330,7 @@ def compute_b3_exact(dist: "oracle.ExactDistribution", n: int,
             g[0] += p
             g[1] += p if f[xi] else 0.0
         total += sum(abs(g1 - px * g0) for g0, g1 in groups.values())
-    return B3Estimate(total, total, 0.0, "exact")
+    return total
 
 
 def field_stack(census: Census, n: int, variant: str = "plain") -> np.ndarray:
@@ -321,6 +339,25 @@ def field_stack(census: Census, n: int, variant: str = "plain") -> np.ndarray:
     out = np.zeros((census.n_samples, census.box.n_sites), dtype=bool)
     out[census.sample_id[mask], census.center_index()[mask]] = True
     return out
+
+
+def _distinct_fields(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean field stack and how often each
+    occurs."""
+    packed = np.ascontiguousarray(np.packbits(stack, axis=1))
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, weight = np.unique(rows, return_index=True, return_counts=True)
+    return stack[first], weight
+
+
+def _bin_sums(mult: np.ndarray, take: np.ndarray, pos: np.ndarray,
+              n_bins: int) -> np.ndarray:
+    """Per column of ``mult``, the sums of the rows ``take`` by their bin
+    ``pos``: a (columns, n_bins) array."""
+    cols = mult.shape[1]
+    idx = (pos[take][:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(idx, weights=mult[take].reshape(-1),
+                       minlength=n_bins * cols).reshape(n_bins, cols).T
 
 
 def compute_b3_stratified(stack: np.ndarray, box: Box, n: int,
@@ -332,45 +369,49 @@ def compute_b3_stratified(stack: np.ndarray, box: Box, n: int,
     occupancy threshold are pooled, and the pooled mass enters only the
     upper bound (its conditional deviation is at most 1), so the result is
     an interval, never a silently extrapolated point.  The quoted se is a
-    multinomial bootstrap of the lower endpoint.
+    bootstrap of the lower endpoint: each replicate resamples the samples
+    once, and every site is binned on that one resample.
+
+    The stack is reduced to its distinct fields with their multiplicities
+    once; every site bins those.
     """
     n_samples, n_sites = stack.shape
     if n_sites != box.n_sites:
         raise ValueError("stack does not match the box")
-    rng = np.random.default_rng(seed)
-    lo = hi = 0.0
-    boots = np.zeros(n_boot)
-    for x in box.sites:
-        xi = box.site_index(x)
-        inside = {box.site_index(y) for y in neighborhood(x, n, box, side)}
-        outside = [i for i in range(n_sites) if i not in inside]
+    outsides = _outside_sites(box, n, side)
+    for outside in outsides:
         if len(outside) > 62:
             raise ResourceCapError("conditioning pattern exceeds 62 sites",
                                    size=2.0 ** len(outside))
-        if outside:
-            keys = stack[:, outside] @ (1 << np.arange(len(outside), dtype=np.int64))
-        else:
-            keys = np.zeros(n_samples, dtype=np.int64)
-        _, inv, counts = np.unique(keys, return_inverse=True,
-                                   return_counts=True)
-        ones = np.bincount(inv, weights=stack[:, xi].astype(float),
-                           minlength=len(counts))
-        px = stack[:, xi].mean()
+    fields, weight = _distinct_fields(stack)
+    # multiplicity of every distinct field: column 0 in the sample,
+    # columns 1.. in the bootstrap replicates
+    draws = np.random.default_rng(seed).multinomial(
+        n_samples, weight / n_samples, size=n_boot)
+    mult = np.vstack([weight, draws]).T.astype(float, order="C")
+    top = mult.max(axis=1)
+    lo = hi = 0.0
+    boots = np.zeros(n_boot)
+    for xi, outside in enumerate(outsides):
+        # bins in ascending order of the outside pattern read as an integer
+        keys = fields[:, outside] @ (1 << np.arange(len(outside),
+                                                    dtype=np.int64))
+        _, inv = np.unique(keys, return_inverse=True)
+        # only a bin whose fields' largest multiplicities add up to min_bin
+        # can be populated, in the sample or in any replicate
+        cand = np.bincount(inv, weights=top) >= min_bin
+        take, pos, n_cand = cand[inv], (np.cumsum(cand) - 1)[inv], cand.sum()
+        at_x = fields[:, xi]
+        counts = _bin_sums(mult, take, pos, n_cand)
+        ones = _bin_sums(mult, take & at_x, pos, n_cand)
+        px = at_x @ mult / n_samples
+        dev = np.abs(ones - px[:, None] * counts)
         pop = counts >= min_bin
-        contrib = np.abs(ones[pop] - px * counts[pop]).sum() / n_samples
-        other = counts[~pop].sum() / n_samples
+        contrib = dev[0, pop[0]].sum() / n_samples
         lo += contrib
-        hi += contrib + other
-        # bootstrap the populated-bin contribution cellwise
-        cells = np.concatenate([counts - ones, ones]).astype(float)
-        pcells = cells / n_samples
-        draws = rng.multinomial(n_samples, pcells, size=n_boot).astype(float)
-        c0 = draws[:, :len(counts)]
-        c1 = draws[:, len(counts):]
-        cnt_b = c0 + c1
-        px_b = c1.sum(axis=1) / n_samples
-        pop_b = cnt_b >= min_bin
-        boots += np.where(pop_b, np.abs(c1 - px_b[:, None] * cnt_b), 0.0).sum(axis=1) / n_samples
+        # the samples in bins below min_bin deviate by at most 1 each
+        hi += contrib + (n_samples - counts[0, pop[0]].sum()) / n_samples
+        boots += np.where(pop[1:], dev[1:], 0.0).sum(axis=1) / n_samples
     se = float(boots.std(ddof=1)) if n_boot > 1 else 0.0
     return B3Estimate(float(lo), float(hi), se, "stratified")
 
@@ -443,8 +484,8 @@ def exact_bound_instance(box: Box, params: FKParams, n: int,
     if dist is None:
         dist = oracle.enumerate_measure(box, params)
     b1, b2, px = exact_b1_b2(dist, n, side, surrogate)
-    b3 = compute_b3_exact(dist, n, side, "plain", surrogate).lo
     law_x = oracle.exact_point_process_law(dist, n, "plain", surrogate)
+    b3 = _b3_of_law(law_x, n, side)
     law_y = oracle.product_law(px, box)
     tv = oracle.exact_tv(law_x, law_y)
     sum_px2 = float((px ** 2).sum())
@@ -472,29 +513,31 @@ class PoissonComparison:
         }
 
 
-def _tv_to_poisson(counts: np.ndarray, lam: float, tail: float = 1e-12) -> float:
-    emp = np.bincount(counts)
-    n = emp.sum()
-    emp = emp / n
-    if lam == 0.0:
-        pois = np.zeros_like(emp)
-        pois[0] = 1.0
-        return float(np.abs(emp - pois).sum())
-    kmax = len(emp) - 1
-    pk = math.exp(-lam)
-    cum = pk
-    tv = abs(emp[0] - pk)
+def _tv_to_poisson(freq: np.ndarray, lam: np.ndarray,
+                   tail: float = 1e-12) -> np.ndarray:
+    """Total variation between each row of ``freq``, a (rows, kmax + 1)
+    table of how many samples have k centers, and the Poisson law with
+    that row's mean ``lam``.
+
+    Every row walks the Poisson pmf up from k = 0 until it is past the
+    row's largest count and the Poisson tail beyond k is below ``tail``;
+    the tail left over is added at the end.
+    """
+    emp = freq / freq.sum(axis=1, keepdims=True)
+    kmax = freq.shape[1] - 1 - np.argmax(freq[:, ::-1] > 0, axis=1)
+    pk = np.array([math.exp(-v) for v in lam.tolist()])
+    cum = pk.copy()
+    tv = np.abs(emp[:, 0] - pk)
+    live = (0 < kmax) | (1.0 - cum > tail)
     k = 0
-    while k < kmax or 1.0 - cum > tail:
+    while live.any():
         k += 1
-        pk *= lam / k
-        cum += pk
-        e = emp[k] if k <= kmax else 0.0
-        tv += abs(e - pk)
-        if k > kmax + 10000:
-            break
-    tv += max(1.0 - cum, 0.0)
-    return float(tv)
+        pk = np.where(live, pk * (lam / k), pk)
+        cum = np.where(live, cum + pk, cum)
+        e = emp[:, k] if k < emp.shape[1] else 0.0
+        tv = np.where(live, tv + np.abs(e - pk), tv)
+        live &= (k <= kmax + 10000) & ((k < kmax) | (1.0 - cum > tail))
+    return tv + np.maximum(1.0 - cum, 0.0)
 
 
 def poisson_count_test(counts: np.ndarray, n_boot: int = 500,
@@ -510,16 +553,12 @@ def poisson_count_test(counts: np.ndarray, n_boot: int = 500,
     if n < 2:
         raise ValueError("need at least 2 samples")
     lam = float(counts.mean())
-    tv = _tv_to_poisson(counts, lam)
-    degenerate = lam == 0.0
-    rng = np.random.default_rng(seed)
     emp = np.bincount(counts)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        res = rng.multinomial(n, emp / n)
-        ks = np.arange(len(res))
-        lam_b = float((res * ks).sum() / n)
-        boots[b] = _tv_to_poisson(np.repeat(ks, res), lam_b)
+    tv = float(_tv_to_poisson(emp[None], np.array([lam]))[0])
+    degenerate = lam == 0.0
+    res = np.random.default_rng(seed).multinomial(n, emp / n, size=n_boot)
+    lam_b = (res * np.arange(len(emp))).sum(axis=1) / n
+    boots = _tv_to_poisson(res, lam_b)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     pmf = {int(k): float(v / n) for k, v in enumerate(emp) if v > 0}
     return PoissonComparison(lam, tv, float(lo), float(hi), n, degenerate, pmf)
@@ -541,6 +580,7 @@ class ChenSteinReport:
     b2: float
     b3_lo: float
     b3_hi: float
+    b3_se: float
     b3_method: str
     sum_px2: float
     bound_lo: float
@@ -554,7 +594,7 @@ class ChenSteinReport:
             "n_samples": self.n_samples, "lambda_hat": self.lambda_hat,
             "b1": self.b1, "b2": self.b2,
             "b3": {"lo": self.b3_lo, "hi": self.b3_hi,
-                   "method": self.b3_method},
+                   "method": self.b3_method, "se": self.b3_se},
             "sum_px2": self.sum_px2,
             "tv_bound": {"lo": self.bound_lo, "hi": self.bound_hi},
         }

@@ -278,7 +278,7 @@ def _run_chenstein(config, seed_seq, out_dir):
     params = _params_of(config)
     n = config["n"]
     states = _replica_states(config, seed_seq)
-    census = census_from_states(box, states, n)
+    census = census_from_states(box, states, n, boundary=params.boundary)
     side = config.get("neighborhood_side")
     px = census.px_field(n)
     counts = census.counts_per_sample(n)
@@ -296,7 +296,7 @@ def _run_chenstein(config, seed_seq, out_dir):
     report = chenstein.ChenSteinReport(
         n, box.sides, side or (2 * chenstein.neighborhood_halfwidth(n) + 1),
         config["K"], census.n_samples, float(counts.mean()), b1, b2,
-        b3.lo, b3.hi, b3.method, float((px ** 2).sum()),
+        b3.lo, b3.hi, b3.se, b3.method, float((px ** 2).sum()),
         bound[0], bound[1], pois)
     doc = {"config_hash": config_hash(config), "report": report.to_dict(),
            "px_field": [float(v) for v in px],

@@ -1,7 +1,8 @@
 """Loop reference implementations that the array code is tested against:
 a graph-search cluster labeler, a disjoint-set forest, the Box tables
-derived from tuples of sites, and pair statistics over cluster sets.  They
-are deliberately plain and slow."""
+derived from tuples of sites, pair statistics over cluster sets, the
+site-by-site stratified b3 and the replicate-by-replicate Poisson
+bootstrap.  They are deliberately plain and slow."""
 from __future__ import annotations
 
 import math
@@ -9,8 +10,9 @@ import math
 import numpy as np
 
 from fkpoisson.census import Cluster, ClusterSet
-from fkpoisson.chenstein import OffsetStat, PairStats, neighborhood_offsets
-from fkpoisson.fk import FREE, BondConfig
+from fkpoisson.chenstein import (B3Estimate, OffsetStat, PairStats,
+                                 neighborhood, neighborhood_offsets)
+from fkpoisson.fk import FREE, BondConfig, ResourceCapError
 from fkpoisson.lattice import Box, set_distance
 
 
@@ -73,13 +75,14 @@ def label_clusters_bfs(config, bc=FREE) -> ClusterSet:
     return ClusterSet(box, clusters, site_cluster)
 
 
-def census_rows_bfs(box, states, min_size: int = 1, origin=None) -> dict:
+def census_rows_bfs(box, states, min_size: int = 1, origin=None,
+                    bc=FREE) -> dict:
     """Census columns (see ``census.Census``) built cluster by cluster from
-    ``label_clusters_bfs``, as lists."""
+    ``label_clusters_bfs`` under ``bc``, as lists."""
     cols = {k: [] for k in ("sample_id", "size", "center", "touches",
                             "origin_size", "origin_touches")}
     for sid, state in enumerate(states):
-        cs = label_clusters_bfs(BondConfig(box, state))
+        cs = label_clusters_bfs(BondConfig(box, state), bc)
         for c in cs.clusters:
             if c.size >= min_size:
                 cols["sample_id"].append(sid)
@@ -186,3 +189,94 @@ def estimate_pxy_sets(samples, box: Box, n: int, offsets=None,
         out[z] = OffsetStat(z, npos, tot[0], se, tot[1], tot[2], tot[3],
                             pair_samples[z])
     return PairStats(n, K, n_samples, box, out)
+
+
+def compute_b3_stratified_sitewise(stack: np.ndarray, box: Box, n: int,
+                                   side=None, min_bin: int = 100,
+                                   n_boot: int = 200, seed=0) -> B3Estimate:
+    """``chenstein.compute_b3_stratified`` binning all samples site by site,
+    with a bootstrap drawn per site from that site's cells."""
+    n_samples, n_sites = stack.shape
+    if n_sites != box.n_sites:
+        raise ValueError("stack does not match the box")
+    rng = np.random.default_rng(seed)
+    lo = hi = 0.0
+    boots = np.zeros(n_boot)
+    for x in box.sites:
+        xi = box.site_index(x)
+        inside = {box.site_index(y) for y in neighborhood(x, n, box, side)}
+        outside = [i for i in range(n_sites) if i not in inside]
+        if len(outside) > 62:
+            raise ResourceCapError("conditioning pattern exceeds 62 sites",
+                                   size=2.0 ** len(outside))
+        if outside:
+            keys = stack[:, outside] @ (1 << np.arange(len(outside), dtype=np.int64))
+        else:
+            keys = np.zeros(n_samples, dtype=np.int64)
+        _, inv, counts = np.unique(keys, return_inverse=True,
+                                   return_counts=True)
+        ones = np.bincount(inv, weights=stack[:, xi].astype(float),
+                           minlength=len(counts))
+        px = stack[:, xi].mean()
+        pop = counts >= min_bin
+        contrib = np.abs(ones[pop] - px * counts[pop]).sum() / n_samples
+        other = counts[~pop].sum() / n_samples
+        lo += contrib
+        hi += contrib + other
+        cells = np.concatenate([counts - ones, ones]).astype(float)
+        pcells = cells / n_samples
+        draws = rng.multinomial(n_samples, pcells, size=n_boot).astype(float)
+        c0 = draws[:, :len(counts)]
+        c1 = draws[:, len(counts):]
+        cnt_b = c0 + c1
+        px_b = c1.sum(axis=1) / n_samples
+        pop_b = cnt_b >= min_bin
+        boots += np.where(pop_b, np.abs(c1 - px_b[:, None] * cnt_b), 0.0).sum(axis=1) / n_samples
+    se = float(boots.std(ddof=1)) if n_boot > 1 else 0.0
+    return B3Estimate(float(lo), float(hi), se, "stratified")
+
+
+def tv_to_poisson_loop(counts: np.ndarray, lam: float,
+                       tail: float = 1e-12) -> float:
+    """Total variation between the law of ``counts`` and Poisson(lam),
+    walking the pmf one k at a time."""
+    emp = np.bincount(counts)
+    n = emp.sum()
+    emp = emp / n
+    if lam == 0.0:
+        pois = np.zeros_like(emp)
+        pois[0] = 1.0
+        return float(np.abs(emp - pois).sum())
+    kmax = len(emp) - 1
+    pk = math.exp(-lam)
+    cum = pk
+    tv = abs(emp[0] - pk)
+    k = 0
+    while k < kmax or 1.0 - cum > tail:
+        k += 1
+        pk *= lam / k
+        cum += pk
+        e = emp[k] if k <= kmax else 0.0
+        tv += abs(e - pk)
+        if k > kmax + 10000:
+            break
+    tv += max(1.0 - cum, 0.0)
+    return float(tv)
+
+
+def poisson_count_test_loop(counts, n_boot: int = 500, seed=0):
+    """(tv, ci_lo, ci_hi) of ``chenstein.poisson_count_test``, one
+    bootstrap replicate at a time."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = len(counts)
+    tv = tv_to_poisson_loop(counts, float(counts.mean()))
+    rng = np.random.default_rng(seed)
+    emp = np.bincount(counts)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        res = rng.multinomial(n, emp / n)
+        ks = np.arange(len(res))
+        lam_b = float((res * ks).sum() / n)
+        boots[b] = tv_to_poisson_loop(np.repeat(ks, res), lam_b)
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return tv, float(lo), float(hi)

@@ -5,7 +5,8 @@ from fkpoisson.census import (census_from_states, census_sampled, decay_rate,
                               estimate_px_lambda, estimate_px_lambda_census,
                               label_clusters, mass_center, point_process,
                               theta_estimate)
-from fkpoisson.fk import FREE, WIRED, BondConfig, FKParams, sample_states
+from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
+                         FKParams, sample_states)
 from fkpoisson.lattice import Box
 from reference_labelers import census_rows_bfs, label_clusters_bfs
 
@@ -167,7 +168,8 @@ def test_estimate_px_all_zero():
 def test_census_sampled_rows_equal_cluster_rows(box, params, min_size):
     args = (params, box, 12, 2, 10, 8)
     fast = census_sampled(*args, min_size=min_size, origin=box.center)
-    ref = census_rows_bfs(box, sample_states(*args), min_size, box.center)
+    ref = census_rows_bfs(box, sample_states(*args), min_size, box.center,
+                          params.boundary)
     assert fast.n_samples == 12
     assert_rows_equal(fast, ref)
     plain = census_sampled(*args)
@@ -217,15 +219,35 @@ def test_census_fast_path_matches_labeler():
 
 def test_census_q1_draw_order_across_chunks():
     # 600 samples span three draw chunks; the boundary condition does not
-    # change the q = 1 draws
+    # change the q = 1 draws, only how they are clustered
     box = Box((1, -2), (5, 7))
     states = q1_draws_2d(box, 0.5, 600, 33)
-    ref = census_rows_bfs(box, states, 2, box.center)
     for bc in (FREE, WIRED):
+        ref = census_rows_bfs(box, states, 2, box.center, bc)
         assert_rows_equal(census_sampled(FKParams(0.5, 1.0, bc), box, 600,
                                          seed=33, min_size=2,
                                          origin=box.center), ref)
-    assert_rows_equal(census_from_states(box, states, 2, box.center), ref)
+        assert_rows_equal(census_from_states(box, states, 2, box.center, bc),
+                          ref)
+
+
+@pytest.mark.parametrize("bc", [
+    WIRED,
+    BoundaryCondition.partition(
+        [[(i, 0) for i in range(5)] + [(i, 4) for i in range(5)],
+         [(0, j) for j in range(1, 4)] + [(4, j) for j in range(1, 4)]]),
+])
+def test_census_clusters_under_the_boundary_condition(bc):
+    # all clusters meeting one boundary class are one census row, so a
+    # wired sample has at most one touching row
+    box = Box.cube(2, 5)
+    cen = census_sampled(FKParams(0.3, 1.0, bc), box, 50, seed=1,
+                         origin=box.center)
+    touching = np.bincount(cen.sample_id[cen.touches], minlength=50)
+    assert touching.max() <= len(bc.class_lists(box))
+    assert_rows_equal(cen, census_rows_bfs(box, q1_draws_2d(box, 0.3, 50, 1),
+                                           1, box.center, bc))
+    assert cen.boundary == bc
 
 
 def test_census_estimators_match_pointfields():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from fkpoisson import chenstein, oracle
-from fkpoisson.census import census_from_states, label_clusters
+from fkpoisson.census import (census_from_states, census_sampled,
+                              label_clusters, state_chunks)
 from fkpoisson.chenstein import (compute_b1_b2, compute_b3,
                                  compute_b3_exact, compute_b3_stratified,
                                  estimate_pxy, exact_bound_instance,
                                  field_stack, neighborhood,
                                  poisson_count_test, tv_bound)
-from fkpoisson.fk import BondConfig, FKParams
+from fkpoisson.fk import WIRED, BondConfig, FKParams, ResourceCapError
 from fkpoisson.lattice import Box
-from reference_labelers import estimate_pxy_sets
+from reference_labelers import (compute_b3_stratified_sitewise,
+                                estimate_pxy_sets, label_clusters_bfs,
+                                poisson_count_test_loop)
 
 CHAIN8 = Box((0,), (8,))
 
@@ -91,6 +94,21 @@ def test_estimate_pxy_matches_cluster_set_reference(box, p, n, K):
     states = bernoulli_states(box, p, 600, 11)
     stats = assert_pair_stats_equal(box, states, n, K=K)
     assert any(st.local > 0 for st in stats.offsets.values())
+
+
+def test_estimate_pxy_wired_matches_cluster_set_reference():
+    # the census and the relabeling of the samples holding pairs both glue
+    # the boundary; few samples hold a pair
+    box = Box((0, 0), (7, 7))
+    params = FKParams(0.35, 1.0, WIRED)
+    cen = census_sampled(params, box, 400, seed=6, min_size=2)
+    states = np.concatenate(list(state_chunks(params, box, 400, seed=6)))
+    got = estimate_pxy(cen, states, 2, K=1.0)
+    ref = estimate_pxy_sets([label_clusters_bfs(BondConfig(box, s), WIRED)
+                             for s in states], box, 2, K=1.0)
+    assert got.offsets == ref.offsets
+    assert 0 < max(st.pair_samples for st in got.offsets.values()) < 400
+    assert any(st.local > 0 for st in got.offsets.values())
 
 
 def test_estimate_pxy_close_and_distant_both_seen():
@@ -201,6 +219,62 @@ def test_b3_stratified_brackets_exact():
     assert est.lo - 3 * est.se <= exact <= est.hi + 3 * est.se
 
 
+@pytest.fixture(scope="module")
+def b3_stacks():
+    """(box, stack, n) cases: census fields in d = 1 and d = 2, an
+    unstructured random stack, a single sample."""
+    chain = Box((0,), (12,))
+    square = Box((-1, 2), (6, 6))
+    rng = np.random.default_rng(17)
+    out = []
+    for box, p, n in ((chain, 0.7, 2), (square, 0.6, 2)):
+        states = bernoulli_states(box, p, 3000, 18)
+        out.append((box, field_stack(census_from_states(box, states, n), n),
+                    n))
+    out.append((square, rng.random((2000, square.n_sites)) < 0.05, 2))
+    out.append((square, rng.random((1, square.n_sites)) < 0.3, 2))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("side", [None, 3])
+@pytest.mark.parametrize("min_bin", [1, 100, 10 ** 6])
+def test_b3_stratified_matches_sitewise_reference(b3_stacks, case, side,
+                                                  min_bin):
+    # the endpoints are equal bit for bit; se comes from another bootstrap
+    box, stack, n = b3_stacks[case]
+    got = compute_b3_stratified(stack, box, n, side, min_bin, seed=4)
+    ref = compute_b3_stratified_sitewise(stack, box, n, side, min_bin,
+                                         seed=4)
+    assert (got.lo, got.hi, got.method) == (ref.lo, ref.hi, ref.method)
+    assert got.se >= 0.0
+    if min_bin == 10 ** 6:
+        assert (got.lo, got.se) == (0.0, 0.0)
+        assert got.hi == box.n_sites
+
+
+def test_b3_stratified_refuses_past_62_conditioning_sites():
+    # on 9x9 with the side-5 box a corner site leaves 81 - 9 = 72 sites
+    # outside, more than a 62-bit pattern key holds; on 8x8 at most 55
+    box = Box.cube(2, 9)
+    stack = np.zeros((10, box.n_sites), dtype=bool)
+    with pytest.raises(ResourceCapError) as err:
+        compute_b3_stratified(stack, box, 2)
+    assert err.value.size == 2.0 ** 72
+    small = Box.cube(2, 8)
+    est = compute_b3_stratified(np.zeros((10, 64), dtype=bool), small, 2,
+                                min_bin=1)
+    assert (est.lo, est.hi) == (0.0, 0.0)
+
+
+def test_b3_bootstrap_is_reproducible_and_seeded(b3_stacks):
+    box, stack, n = b3_stacks[1]
+    a = compute_b3_stratified(stack, box, n, seed=5)
+    assert compute_b3_stratified(stack, box, n, seed=5) == a
+    assert compute_b3_stratified(stack, box, n, seed=6).se != a.se
+    assert compute_b3_stratified(stack, box, n, n_boot=1).se == 0.0
+
+
 def test_b3_dispatch():
     box = Box((0,), (4,))
     dist = oracle.enumerate_measure(box, FKParams(0.5, 1.0))
@@ -249,6 +323,26 @@ def test_poisson_trivial_and_closed_form():
         + sum(math.exp(-1) / math.factorial(k) for k in range(2, 60))
     assert res.lambda_hat == pytest.approx(1.0)
     assert res.tv == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "zero", "constant", "wide"])
+def test_poisson_interval_matches_replicate_loop(kind):
+    rng = np.random.default_rng({"poisson": 1, "zero": 2, "constant": 3,
+                                 "wide": 4}[kind])
+    for trial in range(25):
+        n = int(rng.integers(2, 400))
+        if kind == "poisson":
+            counts = rng.poisson(rng.uniform(0.01, 4.0), size=n)
+        elif kind == "zero":
+            counts = np.zeros(n, dtype=int)
+        elif kind == "constant":
+            counts = np.full(n, int(rng.integers(1, 6)))
+        else:
+            counts = rng.integers(0, 40, size=n)
+        seed = int(rng.integers(2 ** 31))
+        got = poisson_count_test(counts, n_boot=60, seed=seed)
+        assert (got.tv, got.ci_lo, got.ci_hi) \
+            == poisson_count_test_loop(counts, n_boot=60, seed=seed), trial
 
 
 def test_poisson_bootstrap_interval_contains_point():
