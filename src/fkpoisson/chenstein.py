@@ -56,12 +56,18 @@ def neighborhood(x: Site, n: int, box: Box, side: int | None = None) -> list[Sit
     return [s for s in product(*ranges)]
 
 
+def _near(box: Box, n: int, side: int | None) -> np.ndarray:
+    """(sites, sites) bool: entry [x, y] is whether y lies in the
+    dependence box of x, sites in row-major order."""
+    h = _halfwidth(n, side)
+    off = box.offsets
+    return (np.abs(off[:, None, :] - off[None, :, :]) <= h).all(axis=2)
+
+
 def _outside_sites(box: Box, n: int, side: int | None) -> list[np.ndarray]:
     """For every site in row-major order, the indices of the sites outside
     its dependence box, ascending."""
-    h = _halfwidth(n, side)
-    off = box.offsets
-    return [np.flatnonzero((np.abs(off - o) > h).any(axis=1)) for o in off]
+    return [np.flatnonzero(~near) for near in _near(box, n, side)]
 
 
 def neighborhood_offsets(n: int, d: int, side: int | None = None) -> list[Site]:
@@ -138,11 +144,7 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
     # come sorted by sample, so each sample's rows are one run
     rows = np.flatnonzero(census.qualifying(n))
     sid = census.sample_id[rows]
-    group = np.bincount(sid)[sid]
-    a = np.repeat(np.arange(len(rows)), group)
-    b = np.repeat(np.searchsorted(sid, sid), group) + np.arange(len(a)) \
-        - np.repeat(np.cumsum(group) - group, group)
-    a, b = a[a != b], b[a != b]
+    a, b = oracle._ordered_pairs(sid)
     center = census.center[rows] - np.array(box.lower)
     zi = lookup[np.ravel_multi_index((center[b] - center[a] + sides - 1).T,
                                      span)]
@@ -273,19 +275,17 @@ def compute_b1_b2(px_field: np.ndarray, pair_stats: PairStats, box: Box,
 def exact_b1_b2(dist: "oracle.ExactDistribution", n: int,
                 side: int | None = None,
                 surrogate: str = "boundary") -> tuple[float, float, np.ndarray]:
-    """b1, b2 evaluated from exact marginals and exact pair probabilities."""
-    box = dist.box
+    """b1, b2 evaluated from exact marginals and exact pair probabilities.
+
+    Both sums run over the pairs (x, y), y in the dependence box of x, in
+    row-major order of (x, y), one addition at a time."""
     px = oracle.exact_px_field(dist, n, surrogate=surrogate)
     pxy = oracle.exact_pxy_matrix(dist, n, window="plain", surrogate=surrogate)
-    b1 = b2 = 0.0
-    for x in box.sites:
-        xi = box.site_index(x)
-        for y in neighborhood(x, n, box, side):
-            yi = box.site_index(y)
-            b1 += px[xi] * px[yi]
-            if yi != xi:
-                b2 += pxy[xi, yi]
-    return float(b1), float(b2), px
+    x, y = np.nonzero(_near(dist.box, n, side))
+    b1 = oracle._ordered_sum(px[x] * px[y])
+    x, y = x[x != y], y[x != y]
+    b2 = oracle._ordered_sum(pxy[x, y])
+    return b1, b2, px
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +318,31 @@ def compute_b3_exact(dist: "oracle.ExactDistribution", n: int,
 
 
 def _b3_of_law(law: "oracle.PatternLaw", n: int, side: int | None) -> float:
-    """b3 of the center field whose exact law is ``law``."""
-    patterns = [(law.unpack(k), p) for k, p in law.table.items()]
-    total = 0.0
+    """b3 of the center field whose exact law is ``law``.
+
+    Sums run in the order of a loop over the sites and, per site, over the
+    patterns in table order: the outside patterns are grouped in order of
+    first appearance, and each group adds its patterns in table order."""
+    probs = np.fromiter(law.table.values(), float, len(law.table))
+    keys = np.frombuffer(b"".join(law.table), dtype=np.uint8)
+    fields = np.unpackbits(keys.reshape(len(probs), -1), axis=1,
+                           count=law.n_sites).astype(bool)
+    per_site = []
     for xi, outside in enumerate(_outside_sites(law.box, n, side)):
-        px = sum(p for f, p in patterns if f[xi])
-        groups: dict[bytes, list[float]] = {}
-        for f, p in patterns:
-            key = f[outside].tobytes()
-            g = groups.setdefault(key, [0.0, 0.0])
-            g[0] += p
-            g[1] += p if f[xi] else 0.0
-        total += sum(abs(g1 - px * g0) for g0, g1 in groups.values())
-    return total
+        at_x = fields[:, xi]
+        px = oracle._ordered_sum(probs[at_x])
+        codes = fields[:, outside] @ (1 << np.arange(len(outside),
+                                                     dtype=np.int64))
+        _, first, inv = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        group = rank[inv]
+        g0, g1 = np.zeros(len(first)), np.zeros(len(first))
+        np.add.at(g0, group, probs)
+        np.add.at(g1, group, np.where(at_x, probs, 0.0))
+        per_site.append(oracle._ordered_sum(np.abs(g1 - px * g0)))
+    return oracle._ordered_sum(np.array(per_site))
 
 
 def field_stack(census: Census, n: int, variant: str = "plain") -> np.ndarray:
@@ -468,6 +480,12 @@ class ExactBoundInstance:
     @property
     def holds(self) -> bool:
         return self.tv <= self.bound + 1e-12
+
+    @property
+    def vacuous(self) -> bool:
+        """The bound is at least 2, the largest total variation as defined
+        here, so it holds whatever the laws."""
+        return self.bound >= 2.0
 
 
 def exact_bound_instance(box: Box, params: FKParams, n: int,

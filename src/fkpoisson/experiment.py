@@ -226,9 +226,7 @@ def _moment(values) -> tuple[int, float, float]:
 def _run_sample(config, seed_seq, out_dir):
     box = _box_of(config)
     params = _params_of(config)
-    states = sample_states(params, box, config["samples"],
-                           config.get("thinning", 10),
-                           config.get("burn_in"), seed_seq)
+    states = _replica_states(config, seed_seq)
     path = os.path.join(out_dir, "samples.fkc")
     with open(path, "wb") as fh:
         for i, row in enumerate(states):
@@ -308,7 +306,7 @@ def _run_chenstein(config, seed_seq, out_dir):
     if box.n_bonds <= 16:
         inst = chenstein.exact_bound_instance(box, params, n, side)
         doc["exact"] = {"tv": inst.tv, "bound": inst.bound,
-                        "holds": inst.holds}
+                        "holds": inst.holds, "vacuous": inst.vacuous}
         line += f"   exact tv: {inst.tv:.6g} (exact bound {inst.bound:.6g})"
     print(line)
     path = os.path.join(out_dir, "report.json")
@@ -325,15 +323,9 @@ def _run_oracle(config, seed_seq, out_dir):
     surrogate = config.get("surrogate", "boundary")
     inst = chenstein.exact_bound_instance(box, params, n, side, surrogate,
                                           dist)
-    conj = []
-    sites = list(box.sites)
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            res = oracle.conjecture7_check(box, params, n, sites[i],
-                                           sites[j], surrogate, dist)
-            conj.append({"x": list(sites[i]), "y": list(sites[j]),
-                         "lhs": res.lhs, "rhs": res.rhs,
-                         "holds": res.holds})
+    conj = [{"x": list(r.x), "y": list(r.y), "lhs": r.lhs, "rhs": r.rhs,
+             "holds": r.holds}
+            for r in oracle.conjecture7_rows(dist, n, surrogate)]
     doc = {
         "config_hash": config_hash(config),
         "distribution": dist.to_table(),
@@ -341,7 +333,7 @@ def _run_oracle(config, seed_seq, out_dir):
         "bound_instance": {
             "b1": inst.b1, "b2": inst.b2, "b3": inst.b3,
             "sum_px2": inst.sum_px2, "bound": inst.bound, "tv": inst.tv,
-            "holds": inst.holds,
+            "holds": inst.holds, "vacuous": inst.vacuous,
         },
         "conjecture7": conj,
     }
@@ -525,9 +517,10 @@ def _floats(arr):
 
 
 def _write_json(path: str, doc) -> None:
+    # compact, in one json.dumps call: json.dump and any indent fall back
+    # to the pure-Python encoder, slower than the oracle's own reductions
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 _RUNNERS = {

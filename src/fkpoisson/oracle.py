@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -239,10 +241,6 @@ class PatternLaw:
                    if self.unpack(k)[site_index])
 
 
-def _pattern_key(field: np.ndarray) -> bytes:
-    return np.packbits(field.astype(np.uint8)).tobytes()
-
-
 def _qualifying(size: np.ndarray, n: int, variant: str) -> np.ndarray:
     """Elementwise size test of a variant: "plain" n <= |C|, "truncated"
     n <= |C| < n^2/4 (as in ``census``), "local" n <= |C| < n^2."""
@@ -314,11 +312,10 @@ def product_law(px: np.ndarray, box: Box, n: int = 0,
     patterns = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1)
     probs = np.prod(np.where(patterns == 1, px[None, :], 1.0 - px[None, :]),
                     axis=1)
-    table: dict[bytes, float] = {}
-    for row, pr in zip(patterns.astype(bool), probs):
-        if pr > 0.0:
-            table[_pattern_key(row)] = table.get(_pattern_key(row), 0.0) + float(pr)
-    return PatternLaw(box, n, variant, table)
+    live = probs > 0.0
+    keys = np.packbits(patterns[live].astype(np.uint8), axis=1)
+    return PatternLaw(box, n, variant,
+                      dict(zip(map(bytes, keys), probs[live].tolist())))
 
 
 def exact_tv(law1: PatternLaw, law2: PatternLaw) -> float:
@@ -368,15 +365,27 @@ def exact_pxy_matrix(dist: ExactDistribution, n: int,
     k = dist.box.n_sites
     out = np.zeros((k, k))
     variant = "plain" if window == "plain" else "local"
-    diag = np.arange(k)
     for rows in _chunks(dist.n_configs):
         counts = _center_counts(dist, rows, n, variant, surrogate)
-        present = counts > 0
-        pairs = present[:, :, None] & present[:, None, :]
-        pairs[:, diag, diag] = counts >= 2
-        r, ab = np.nonzero(pairs.reshape(len(pairs), k * k))
-        np.add.at(out.reshape(-1), ab, dist.probs[rows][r])
+        pr = dist.probs[rows]
+        # the present centers, configuration by configuration
+        r, s = np.nonzero(counts)
+        a, b = _ordered_pairs(r)
+        np.add.at(out, (s[a], s[b]), pr[r[a]])
+        r, s = np.nonzero(counts >= 2)
+        np.add.at(out, (s, s), pr[r])
     return out
+
+
+def _ordered_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (a, b), a != b, of the ordered pairs of entries of one
+    group, given the sorted group of every entry: group by group, and
+    within a group in row-major order of (a, b)."""
+    size = np.bincount(group)[group]
+    a = np.repeat(np.arange(len(group)), size)
+    b = np.repeat(np.searchsorted(group, group), size) + np.arange(len(a)) \
+        - np.repeat(np.cumsum(size) - size, size)
+    return a[a != b], b[a != b]
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +418,46 @@ def conjecture7_check(box: Box, params: FKParams, n: int, x: Site, y: Site,
     """
     if dist is None:
         dist = enumerate_measure(box, params)
-    t = dist.cluster_tables
-    xi, yi = box.site_index(x), box.site_index(y)
-    zi = box.site_index(box.center)
+    return _conjecture7(dist, n, surrogate,
+                        [(box.site_index(x), box.site_index(y))])[0]
 
-    def finite_large(site_idx: int, thresh: int) -> np.ndarray:
-        large = t.size[:, site_idx] >= thresh
+
+def conjecture7_rows(dist: ExactDistribution, n: int,
+                     surrogate: str = "boundary") -> list[Conjecture7Result]:
+    """``conjecture7_check`` at every site pair x < y, in row-major order
+    of (x, y), from one pass over the cluster tables: the right side
+    depends only on the box center and is computed once."""
+    k = dist.box.n_sites
+    return _conjecture7(dist, n, surrogate,
+                        [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def _conjecture7(dist: ExactDistribution, n: int, surrogate: str,
+                 pairs: list[tuple[int, int]]) -> list[Conjecture7Result]:
+    """Conjecture 7 at the site-index pairs ``pairs``, grouped by x."""
+    box, t = dist.box, dist.cluster_tables
+
+    def finite_large(site: int, thresh: int, rows=slice(None)) -> np.ndarray:
+        large = t.size[rows, site] >= thresh
         if surrogate == "boundary":
-            large &= ~t.touches[:, site_idx]
+            large &= ~t.touches[rows, site]
         return large
 
-    lhs = _ordered_sum(dist.probs[(t.label[:, xi] != t.label[:, yi])
-                                  & finite_large(xi, n)
-                                  & finite_large(yi, n)])
-    rhs = _ordered_sum(dist.probs[finite_large(zi, 2 * n)])
-    return Conjecture7Result(box, params.p, params.q, n, x, y, surrogate,
-                             lhs, rhs)
+    rhs = _ordered_sum(dist.probs[finite_large(box.site_index(box.center),
+                                               2 * n)])
+    out = []
+    for xi, group in groupby(pairs, key=itemgetter(0)):
+        # the configurations where the x-cluster is n-large and finite, in
+        # configuration order
+        rows = np.flatnonzero(finite_large(xi, n))
+        probs, label = dist.probs[rows], t.label[rows, xi]
+        for _, yi in group:
+            lhs = _ordered_sum(probs[(label != t.label[rows, yi])
+                                     & finite_large(yi, n, rows)])
+            out.append(Conjecture7Result(box, dist.params.p, dist.params.q,
+                                         n, box.sites[xi], box.sites[yi],
+                                         surrogate, lhs, rhs))
+    return out
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -436,16 +469,16 @@ def _ordered_sum(values: np.ndarray) -> float:
 # exact ratio-mixing coefficient between two bond regions
 
 
-def exact_ratio_mixing(dist: ExactDistribution, bonds1, bonds2,
-                       subset_budget: int = 1 << 16) -> float:
+def exact_ratio_mixing(dist: ExactDistribution, bonds1, bonds2) -> float:
     """sup over events E on region 1 and F on region 2 of
     |P(E and F) / (P(E) P(F)) - 1|, restricted to P(E) P(F) > 0.
 
-    Exact: every event of the smaller region's sigma-field is enumerated;
-    for each, the optimal event of the other region is a level set of the
-    atom ratio (prefix of the sorted atoms), which attains the inner
-    supremum.  Refuses when the smaller region's event count exceeds the
-    budget: the full search is doubly exponential in the bond count.
+    P(E and F) / (P(E) P(F)) is the average of the atom ratios
+    P(a, b) / (P(a) P(b)) over a in E and b in F, weighted by P(a) P(b),
+    and single atoms are events, so the supremum and infimum over events
+    are the largest and smallest atom ratio over atom pairs with
+    P(a) P(b) > 0.  Regions are bounded only by the 2^(k1 + k2) joint
+    table of their atoms.
     """
     idx1 = [dist.box.bond_index[b] if not isinstance(b, int) else b
             for b in bonds1]
@@ -455,8 +488,6 @@ def exact_ratio_mixing(dist: ExactDistribution, bonds1, bonds2,
         raise ValueError("regions share bonds")
     if not idx1 or not idx2:
         return 0.0
-    if len(idx1) > 10 or len(idx2) > 10:
-        raise ValueError("regions limited to 10 bonds each")
 
     k1, k2 = len(idx1), len(idx2)
     all_idx = np.arange(dist.n_configs)
@@ -471,34 +502,5 @@ def exact_ratio_mixing(dist: ExactDistribution, bonds1, bonds2,
 
     mu = joint.sum(axis=1)
     nu = joint.sum(axis=0)
-    joint = joint[mu > 0][:, nu > 0]
-    nu = nu[nu > 0]
-    mu = mu[mu > 0]
-    if joint.shape[0] > joint.shape[1]:
-        joint, mu, nu = joint.T, nu, mu
-
-    n_atoms = len(mu)
-    n_subsets = (1 << n_atoms) - 1
-    if n_subsets > subset_budget:
-        raise ResourceCapError(
-            f"{n_subsets} events on the smaller region exceed the "
-            f"exhaustive budget {subset_budget}", size=float(n_subsets))
-
-    masks = np.arange(1, n_subsets + 1)
-    ind = ((masks[:, None] >> np.arange(n_atoms)[None, :]) & 1).astype(float)
-    mu_a = ind @ mu                      # P(E) per subset
-    pab = ind @ joint                    # P(E and atom b)
-    ratio = pab / (mu_a[:, None] * nu[None, :])
-    order = np.argsort(-ratio, axis=1)
-    p_sorted = np.take_along_axis(pab, order, axis=1)
-    n_sorted = np.take_along_axis(np.broadcast_to(nu, pab.shape), order, axis=1)
-    num = np.cumsum(p_sorted, axis=1)
-    den = mu_a[:, None] * np.cumsum(n_sorted, axis=1)
-    r_max = (num / den).max(axis=1)
-    order = np.argsort(ratio, axis=1)
-    p_sorted = np.take_along_axis(pab, order, axis=1)
-    n_sorted = np.take_along_axis(np.broadcast_to(nu, pab.shape), order, axis=1)
-    num = np.cumsum(p_sorted, axis=1)
-    den = mu_a[:, None] * np.cumsum(n_sorted, axis=1)
-    r_min = (num / den).min(axis=1)
-    return float(max((r_max - 1.0).max(), (1.0 - r_min).max(), 0.0))
+    ratio = joint[mu > 0][:, nu > 0] / np.outer(mu[mu > 0], nu[nu > 0])
+    return float(max(ratio.max() - 1.0, 1.0 - ratio.min(), 0.0))

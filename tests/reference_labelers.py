@@ -1,14 +1,17 @@
 """Loop reference implementations that the array code is tested against:
 a graph-search cluster labeler, a disjoint-set forest, the Box tables
 derived from tuples of sites, pair statistics over cluster sets, the
-site-by-site stratified b3 and the replicate-by-replicate Poisson
-bootstrap.  They are deliberately plain and slow."""
+site-by-site stratified b3, the replicate-by-replicate Poisson
+bootstrap, and the exact pair matrix, b1/b2, b3 of a pattern law,
+product law and conjecture 7 taken a pair, a site or a pattern at a
+time.  They are deliberately plain and slow."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
+from fkpoisson import oracle
 from fkpoisson.census import Cluster, ClusterSet
 from fkpoisson.chenstein import (B3Estimate, OffsetStat, PairStats,
                                  neighborhood, neighborhood_offsets)
@@ -280,3 +283,99 @@ def poisson_count_test_loop(counts, n_boot: int = 500, seed=0):
         boots[b] = tv_to_poisson_loop(np.repeat(ks, res), lam_b)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return tv, float(lo), float(hi)
+
+
+def pattern_key(field: np.ndarray) -> bytes:
+    """The ``PatternLaw`` key of a 0/1 field: packbits of the row-major
+    indicator vector."""
+    return np.packbits(field.astype(np.uint8)).tobytes()
+
+
+def exact_pxy_matrix_k2(dist, n: int, window: str = "plain",
+                        surrogate: str = "boundary") -> np.ndarray:
+    """``oracle.exact_pxy_matrix`` through a (configs, sites, sites) array
+    of center pairs per chunk."""
+    k = dist.box.n_sites
+    out = np.zeros((k, k))
+    variant = "plain" if window == "plain" else "local"
+    diag = np.arange(k)
+    for rows in oracle._chunks(dist.n_configs):
+        counts = oracle._center_counts(dist, rows, n, variant, surrogate)
+        present = counts > 0
+        pairs = present[:, :, None] & present[:, None, :]
+        pairs[:, diag, diag] = counts >= 2
+        r, ab = np.nonzero(pairs.reshape(len(pairs), k * k))
+        np.add.at(out.reshape(-1), ab, dist.probs[rows][r])
+    return out
+
+
+def exact_b1_b2_loop(dist, n: int, side=None, surrogate: str = "boundary"):
+    """``chenstein.exact_b1_b2`` with a loop over every site and its
+    neighborhood."""
+    box = dist.box
+    px = oracle.exact_px_field(dist, n, surrogate=surrogate)
+    pxy = exact_pxy_matrix_k2(dist, n, window="plain", surrogate=surrogate)
+    b1 = b2 = 0.0
+    for x in box.sites:
+        xi = box.site_index(x)
+        for y in neighborhood(x, n, box, side):
+            yi = box.site_index(y)
+            b1 += px[xi] * px[yi]
+            if yi != xi:
+                b2 += pxy[xi, yi]
+    return float(b1), float(b2), px
+
+
+def b3_of_law_loop(law, n: int, side=None) -> float:
+    """``chenstein._b3_of_law`` with a dict of outside patterns per site."""
+    box = law.box
+    patterns = [(law.unpack(k), p) for k, p in law.table.items()]
+    total = 0.0
+    for x in box.sites:
+        xi = box.site_index(x)
+        inside = {box.site_index(y) for y in neighborhood(x, n, box, side)}
+        outside = [i for i in range(box.n_sites) if i not in inside]
+        px = sum(p for f, p in patterns if f[xi])
+        groups: dict[bytes, list[float]] = {}
+        for f, p in patterns:
+            key = f[outside].tobytes()
+            g = groups.setdefault(key, [0.0, 0.0])
+            g[0] += p
+            g[1] += p if f[xi] else 0.0
+        total += sum(abs(g1 - px * g0) for g0, g1 in groups.values())
+    return total
+
+
+def product_law_loop(px: np.ndarray, box: Box, n: int = 0,
+                     variant: str = "product"):
+    """``oracle.product_law`` keyed one pattern at a time."""
+    k = box.n_sites
+    patterns = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1)
+    probs = np.prod(np.where(patterns == 1, px[None, :], 1.0 - px[None, :]),
+                    axis=1)
+    table: dict[bytes, float] = {}
+    for row, pr in zip(patterns.astype(bool), probs):
+        if pr > 0.0:
+            table[pattern_key(row)] = table.get(pattern_key(row), 0.0) \
+                + float(pr)
+    return oracle.PatternLaw(box, n, variant, table)
+
+
+def conjecture7_pair(dist, n: int, xi: int, yi: int,
+                     surrogate: str = "boundary") -> tuple[float, float]:
+    """(lhs, rhs) of ``oracle.conjecture7_check`` at site indices xi, yi,
+    from whole columns of the cluster tables."""
+    box, t = dist.box, dist.cluster_tables
+    zi = box.site_index(box.center)
+
+    def finite_large(site_idx: int, thresh: int) -> np.ndarray:
+        large = t.size[:, site_idx] >= thresh
+        if surrogate == "boundary":
+            large &= ~t.touches[:, site_idx]
+        return large
+
+    lhs = oracle._ordered_sum(dist.probs[(t.label[:, xi] != t.label[:, yi])
+                                         & finite_large(xi, n)
+                                         & finite_large(yi, n)])
+    rhs = oracle._ordered_sum(dist.probs[finite_large(zi, 2 * n)])
+    return lhs, rhs

@@ -13,9 +13,12 @@ from fkpoisson.chenstein import (compute_b1_b2, compute_b3,
                                  poisson_count_test, tv_bound)
 from fkpoisson.fk import WIRED, BondConfig, FKParams, ResourceCapError
 from fkpoisson.lattice import Box
-from reference_labelers import (compute_b3_stratified_sitewise,
-                                estimate_pxy_sets, label_clusters_bfs,
-                                poisson_count_test_loop)
+from reference_labelers import (b3_of_law_loop,
+                                compute_b3_stratified_sitewise,
+                                conjecture7_pair, estimate_pxy_sets,
+                                exact_b1_b2_loop, exact_pxy_matrix_k2,
+                                label_clusters_bfs, poisson_count_test_loop,
+                                product_law_loop)
 
 CHAIN8 = Box((0,), (8,))
 
@@ -297,6 +300,55 @@ def test_exact_bound_instance_holds_on_chain():
     inst6 = exact_bound_instance(Box((0,), (6,)), FKParams(0.5, 2.0), 2)
     assert inst6.holds
     assert inst6.tv > 0.0  # non-degenerate instance
+
+
+def test_exact_bound_instance_vacuous_flag():
+    # criterion 3's 7-chain at p = 0.4, q = 2 has a bound above 2, the
+    # largest total variation; its 6-chain at p = 0.5 has one below
+    inst = exact_bound_instance(Box((0,), (7,)), FKParams(0.4, 2.0), 2)
+    assert inst.bound > 2.0 and inst.vacuous
+    inst = exact_bound_instance(Box((0,), (6,)), FKParams(0.5, 2.0), 2)
+    assert inst.bound < 2.0 and not inst.vacuous
+
+
+EXACT_CASES = [
+    (Box((0,), (7,)), FKParams(0.4, 2.0)),
+    (Box((0, 0), (2, 3)), FKParams(0.6, 1.5)),
+    (Box.cube(2, 3), FKParams(0.5, 1.0, WIRED)),
+    (Box((0, 0), (2, 4)), FKParams(0.6, 2.0)),
+]
+
+
+@pytest.mark.parametrize("box,params", EXACT_CASES)
+@pytest.mark.parametrize("surrogate", ["boundary", "all"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_reductions_equal_loop_references(box, params, surrogate, n):
+    """The array pair matrix, b1/b2, b3 of a law, product law and
+    conjecture-7 rows equal, bit for bit, their loop versions."""
+    dist = oracle.enumerate_measure(box, params)
+    assert np.array_equal(
+        oracle.exact_pxy_matrix(dist, n, surrogate=surrogate),
+        exact_pxy_matrix_k2(dist, n, surrogate=surrogate))
+    b1, b2, px = chenstein.exact_b1_b2(dist, n, surrogate=surrogate)
+    ref_b1, ref_b2, ref_px = exact_b1_b2_loop(dist, n, surrogate=surrogate)
+    assert (b1, b2) == (ref_b1, ref_b2) and np.array_equal(px, ref_px)
+    law = oracle.exact_point_process_law(dist, n, surrogate=surrogate)
+    for side in (None, 1, 3):
+        assert chenstein._b3_of_law(law, n, side) == \
+            b3_of_law_loop(law, n, side)
+    assert list(oracle.product_law(px, box).table.items()) == \
+        list(product_law_loop(px, box).table.items())
+    rows = oracle.conjecture7_rows(dist, n, surrogate)
+    k = box.n_sites
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    assert [(r.x, r.y) for r in rows] == \
+        [(box.sites[i], box.sites[j]) for i, j in pairs]
+    assert [(r.lhs, r.rhs) for r in rows] == \
+        [conjecture7_pair(dist, n, i, j, surrogate) for i, j in pairs]
+    one = oracle.conjecture7_check(box, params, n, box.sites[-1],
+                                   box.sites[0], surrogate, dist)
+    assert (one.lhs, one.rhs) == conjecture7_pair(dist, n, k - 1, 0,
+                                                  surrogate)
 
 
 def test_exact_bound_instance_reuses_given_distribution():

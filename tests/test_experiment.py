@@ -321,22 +321,24 @@ def read_fkc(path):
 
 def test_sample_and_census_draw_the_same_states(tmp_path):
     # census rows can be checked against the states `sample` writes only
-    # because both subcommands draw the same chain from one config
+    # because both subcommands draw the same states from one config: the
+    # same chain at q = 2, the same direct draws at q = 1
     from fkpoisson.census import census_from_states
-    cfg = {"sides": [7, 6], "p": 0.62, "q": 2.0, "samples": 6,
-           "thinning": 2, "burn_in": 15, "seed": 41}
-    run("sample", cfg, str(tmp_path / "s"))
-    run("census", dict(cfg, n=2), str(tmp_path / "c"))
-    configs = read_fkc(tmp_path / "s" / "rep000" / "samples.fkc")
-    ref = census_from_states(configs[0].box,
-                             np.array([c.state for c in configs]), 2)
-    rows = [json.loads(line)
-            for line in open(tmp_path / "c" / "rep000" / "census.jsonl")]
-    assert rows == [{"sample": int(i), "size": int(z),
-                     "mass_center": [int(v) for v in c],
-                     "touches_boundary": bool(t)}
-                    for i, z, c, t in zip(ref.sample_id, ref.size,
-                                          ref.center, ref.touches)]
+    for q in (2.0, 1.0):
+        cfg = {"sides": [7, 6], "p": 0.62, "q": q, "samples": 6,
+               "thinning": 2, "burn_in": 15, "seed": 41}
+        run("sample", cfg, str(tmp_path / f"s{q}"))
+        run("census", dict(cfg, n=2), str(tmp_path / f"c{q}"))
+        configs = read_fkc(tmp_path / f"s{q}" / "rep000" / "samples.fkc")
+        ref = census_from_states(configs[0].box,
+                                 np.array([c.state for c in configs]), 2)
+        rows = [json.loads(line) for line in
+                open(tmp_path / f"c{q}" / "rep000" / "census.jsonl")]
+        assert rows == [{"sample": int(i), "size": int(z),
+                         "mass_center": [int(v) for v in c],
+                         "touches_boundary": bool(t)}
+                        for i, z, c, t in zip(ref.sample_id, ref.size,
+                                              ref.center, ref.touches)]
 
 
 def test_run_sample_roundtrip(tmp_path):

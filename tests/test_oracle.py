@@ -12,7 +12,7 @@ from fkpoisson.census import label_clusters, mass_center
 from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, FKParams,
                           ResourceCapError)
 from fkpoisson.lattice import Box
-from reference_labelers import DisjointSet
+from reference_labelers import DisjointSet, pattern_key
 
 CHAIN4 = Box((0,), (4,))
 CHAIN6 = Box((0,), (6,))
@@ -81,7 +81,7 @@ def test_event_probability():
 def test_point_law_n_too_large_is_zero_field():
     dist = oracle.enumerate_measure(CHAIN4, FKParams(0.5, 1.0))
     law = oracle.exact_point_process_law(dist, n=9)
-    assert set(law.table) == {oracle._pattern_key(np.zeros(4, dtype=bool))}
+    assert set(law.table) == {pattern_key(np.zeros(4, dtype=bool))}
 
 
 def test_point_law_all_finite_surrogate_deterministic():
@@ -106,7 +106,7 @@ def test_point_law_chain4_vs_independent_runs():
             touches = 0 in run or 3 in run
             if not touches and len(run) >= n:
                 field[int(np.floor(np.mean(run)))] = True
-        key = oracle._pattern_key(field)
+        key = pattern_key(field)
         table[key] = table.get(key, 0.0) + float(prob)
     assert set(table) == set(law.table)
     for k in table:
@@ -124,9 +124,9 @@ def test_exact_tv_trivial_and_forms_agree():
     assert oracle.tv_sup_form(law, prod) == pytest.approx(tv, abs=1e-12)
     # point masses on distinct patterns are at distance 2
     a = oracle.PatternLaw(CHAIN4, 1, "plain",
-                          {oracle._pattern_key(np.array([1, 0, 0, 0], bool)): 1.0})
+                          {pattern_key(np.array([1, 0, 0, 0], bool)): 1.0})
     b = oracle.PatternLaw(CHAIN4, 1, "plain",
-                          {oracle._pattern_key(np.array([0, 1, 0, 0], bool)): 1.0})
+                          {pattern_key(np.array([0, 1, 0, 0], bool)): 1.0})
     assert oracle.exact_tv(a, b) == pytest.approx(2.0)
     assert oracle.tv_sup_form(a, b) == pytest.approx(2.0)
 
@@ -360,7 +360,7 @@ def test_reductions_equal_configuration_loops(box, params, surrogate, n):
                      for ib, b in enumerate(qual) if ia != ib}:
             pxy[a, b] += pr
         if pr != 0.0:
-            key = oracle._pattern_key(field)
+            key = pattern_key(field)
             law[key] = law.get(key, 0.0) + float(pr)
 
         def large(site, thresh):
