@@ -3,8 +3,8 @@ point process of large-finite-cluster mass centers."""
 
 __version__ = "0.1.0"
 
-from .lattice import (Box, bonds_of, boundary, l1, linf, pair_order,
-                      pair_sort_key, set_distance, star_neighbors)
+from .lattice import (Box, l1, pair_order, pair_sort_key, set_distance,
+                      star_neighbors)
 from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  ResourceCapError, cluster_count, config_from_bytes,
                  config_to_bytes, finite_energy_floor, heatbath_step,

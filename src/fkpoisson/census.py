@@ -152,7 +152,7 @@ class Census:
     are one cluster.  Rows come in label order: by sample, then by each
     cluster's smallest site, so row r is the r-th cluster of size >=
     min_size in the labels ``fk.label_sites`` gives the same states under
-    ``boundary`` (see ``cluster_rows``).
+    ``boundary``.
     """
 
     box: Box
@@ -284,14 +284,21 @@ def _census(box: Box, chunks, min_size: int, origin: Site | None,
                   origin_size=osz, origin_touches=oto, boundary=boundary)
 
 
-def cluster_rows(box: Box, states: np.ndarray, min_size: int,
-                 boundary: BoundaryCondition = FREE):
-    """``label_sites`` labels of ``states`` under ``boundary``, the size of
-    every cluster, and the labels of the clusters that a census with
-    ``min_size`` keeps, in row order."""
-    labels, n = label_sites(box, states, boundary)
-    size = np.bincount(labels.reshape(-1), minlength=n)
-    return labels, size, np.flatnonzero(size >= min_size)
+def cluster_stats(box: Box, labels: np.ndarray, n: int):
+    """Size, boundary contact and floor mass center (as offsets from
+    ``box.lower``) of each of the ``n`` clusters of a (configs, n_sites)
+    array of ``label_sites`` labels."""
+    flat = labels.reshape(-1)
+    size = np.bincount(flat, minlength=n)
+    touches = np.zeros(n, dtype=bool)
+    touches[labels[:, box.boundary_indices]] = True
+    center = np.empty((n, box.d), dtype=np.int64)
+    for k in range(box.d):
+        coord = np.tile(box.offsets[:, k], len(labels))
+        # whole sums: an integer division floors them exactly, and faster
+        sums = np.bincount(flat, weights=coord, minlength=n)
+        center[:, k] = sums.astype(np.int64) // size
+    return size, touches, center
 
 
 def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
@@ -299,25 +306,18 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
     """Rows of the open-bond clusters of ``states``, samples numbered from
     ``first``: (sample id, size, mass center, boundary contact) per row,
     plus per-sample origin-cluster size and contact when origin is set."""
-    labels, size, keep = cluster_rows(box, states, min_size, boundary)
-    n = len(size)
-    flat = labels.reshape(-1)
+    labels, n = label_sites(box, states, boundary)
+    size, touches, center = cluster_stats(box, labels, n)
+    keep = np.flatnonzero(size >= min_size)
     # each sample's labels are one range, starting at its first site's
     owner = np.repeat(np.arange(first, first + len(states)),
                       np.diff(labels[:, 0], append=n))
-    touches = np.zeros(n, dtype=bool)
-    touches[labels[:, box.boundary_indices]] = True
-    center = np.empty((len(keep), box.d), dtype=np.int64)
-    for k in range(box.d):
-        coord = np.tile(box.offsets[:, k], len(states))
-        sums = np.bincount(flat, weights=coord, minlength=n)
-        center[:, k] = (sums[keep] // size[keep]).astype(np.int64) \
-            + box.lower[k]
     osz = oto = None
     if origin is not None:
         ol = labels[:, box.site_index(origin)]
         osz, oto = size[ol], touches[ol]
-    return owner[keep], size[keep], center, touches[keep], osz, oto
+    return (owner[keep], size[keep], center[keep] + box.lower, touches[keep],
+            osz, oto)
 
 
 # ---------------------------------------------------------------------------

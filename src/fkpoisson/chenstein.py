@@ -22,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .census import Census, cluster_rows
-from .fk import FKParams, ResourceCapError
+from .census import Census
+from .fk import FKParams, ResourceCapError, label_sites
 from .lattice import Box, Site
 from . import oracle
 
@@ -196,8 +196,9 @@ def _cluster_distance(census: Census, states: np.ndarray, ra: np.ndarray,
         return out
     # label only the samples holding a pair; their census rows are runs
     held = np.unique(census.sample_id[ra])
-    labels, size, row_label = cluster_rows(census.box, states[held],
-                                           census.min_size, census.boundary)
+    labels, n = label_sites(census.box, states[held], census.boundary)
+    size = np.bincount(labels.reshape(-1), minlength=n)
+    row_label = np.flatnonzero(size >= census.min_size)
     held_rows = np.flatnonzero(np.isin(census.sample_id, held))
     if len(row_label) != len(held_rows):
         raise ValueError("census rows do not match the states")
@@ -605,6 +606,12 @@ class ChenSteinReport:
     bound_hi: float
     poisson: PoissonComparison | None = None
 
+    @property
+    def vacuous(self) -> bool:
+        """The upper end of the bound is at least 2, the largest total
+        variation as defined here (as in ``ExactBoundInstance.vacuous``)."""
+        return bool(self.bound_hi >= 2.0)
+
     def to_dict(self) -> dict:
         out = {
             "n": self.n, "box_sides": list(self.box_sides),
@@ -614,7 +621,8 @@ class ChenSteinReport:
             "b3": {"lo": self.b3_lo, "hi": self.b3_hi,
                    "method": self.b3_method, "se": self.b3_se},
             "sum_px2": self.sum_px2,
-            "tv_bound": {"lo": self.bound_lo, "hi": self.bound_hi},
+            "tv_bound": {"lo": self.bound_lo, "hi": self.bound_hi,
+                         "vacuous": self.vacuous},
         }
         if self.poisson is not None:
             out["poisson"] = self.poisson.to_dict()

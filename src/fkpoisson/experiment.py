@@ -344,7 +344,7 @@ def _run_oracle(config, seed_seq, out_dir):
 
 def _run_surgery(config, seed_seq, out_dir):
     box = _box_of(config)
-    params = FKParams(float(config["p"]), float(config.get("q", 2.0)))
+    params = _params_of({"q": 2.0, **config})
     n = config.get("n", 2)
     K = config["K"]
     rows = []

@@ -6,11 +6,12 @@ measure weights a configuration by ``p^#open (1-p)^#closed q^cl_pi`` where
 virtually glues boundary sites together.  Weights are handled in log space
 throughout: ``q^cl`` overflows beyond a few hundred sites.
 
-Clusters are labeled by ``label_sites``, one labeler for every cluster
-path but the heat bath: a batch of configurations is drawn on the box's
-doubled grid (sites at even cells, open bonds at the odd cells between
-them) and labeled by one ``scipy.ndimage.label`` call; boundary classes
-are then glued by merging the labels of their sites.
+Clusters are labeled by ``label_sites``, one labeler for the samplers,
+the census and the exact oracle; only the heat bath keeps its own.  A
+batch of configurations is drawn on the box's doubled grid (sites at
+even cells, open bonds at the odd cells between them) and labeled by one
+``scipy.ndimage.label`` call; boundary classes are then glued by merging
+the labels of their sites.
 
 Sampling uses the cluster color-and-rebond sweep for integer q and a
 systematic-scan single-bond heat bath otherwise.  Both kernels leave the

@@ -172,21 +172,8 @@ class Box:
         return out
 
 
-def bonds_of(box: Box) -> list[Bond]:
-    """Bonds with both endpoints in the box, each listed once."""
-    return list(box.bonds)
-
-
-def boundary(box: Box) -> frozenset[Site]:
-    return box.boundary
-
-
 def l1(x: Site, y: Site) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
-
-
-def linf(x: Site, y: Site) -> int:
-    return max(abs(a - b) for a, b in zip(x, y))
 
 
 def star_neighbors(x: Site) -> set[Site]:

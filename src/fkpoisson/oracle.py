@@ -4,9 +4,9 @@ Every operation here enumerates all 2^|bonds| configurations, so it is
 deliberately brute force and refuses beyond a hard cap.  Configuration i
 encodes bond j as bit j: state[j] = (i >> j) & 1, in ``box.bonds`` order.
 
-The point-process laws label each configuration once.  A numpy pass
-labels every configuration of the box, a chunk of configurations at a
-time, and the per-(configuration, site) cluster tables it yields are
+Configurations are labeled by ``fk.label_sites``, a chunk at a time:
+once under the boundary condition, for the weights, and once over open
+bonds only, for the per-(configuration, site) cluster tables that are
 cached on the ``ExactDistribution``; the exact laws below are reductions
 over those tables.  Probabilities are accumulated in configuration order
 (``np.add.at``, ``np.cumsum``), the order of a plain loop over
@@ -28,7 +28,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fk import BondConfig, FKParams, ResourceCapError
+from .census import cluster_stats
+from .fk import BondConfig, FKParams, ResourceCapError, label_sites
 from .lattice import Box, Site
 
 ENUM_CAP = 24
@@ -82,9 +83,6 @@ class ExactDistribution:
     def config_of(self, index: int) -> BondConfig:
         return BondConfig(self.box, self.state_of(index))
 
-    def index_of(self, config: BondConfig) -> int:
-        return int(config.state.astype(np.int64) @ (1 << np.arange(config.box.n_bonds)))
-
     def to_table(self) -> list[dict]:
         return [{"config": i, "probability": float(p)}
                 for i, p in enumerate(self.probs)]
@@ -101,55 +99,25 @@ def _open_bonds(rows: slice, n_bonds: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n_bonds)) & 1).astype(bool)
 
 
-def _label(open_: np.ndarray, ends: np.ndarray, n_sites: int) -> np.ndarray:
-    """(configs, sites) uint8 smallest site index of each site's component,
-    one graph per row of ``open_`` over the edges ``ends`` (edges, 2).
-
-    One pass over the edges: an open edge that joins two components
-    relabels every site of the one with the larger label, so each
-    component keeps the smallest site index in it.  An enumerable box has
-    far fewer than 255 sites.
-    """
-    lab = np.tile(np.arange(n_sites, dtype=np.uint8), (len(open_), 1))
-    for j, (a, b) in enumerate(ends):
-        la, lb = lab[:, a], lab[:, b]
-        lo = np.where(open_[:, j], np.minimum(la, lb), lb)
-        # no site carries the label n_sites: a closed edge relabels nothing
-        hi = np.where(open_[:, j], np.maximum(la, lb), n_sites)
-        np.copyto(lab, lo[:, None], where=lab == hi[:, None])
-    return lab
-
-
 def _cluster_tables(box: Box) -> ClusterTables:
     n_configs, s = 1 << box.n_bonds, box.n_sites
     tables = ClusterTables(np.empty((n_configs, s), np.uint8),
                            np.empty((n_configs, s), np.uint8),
                            np.empty((n_configs, s), bool),
                            np.empty((n_configs, s), np.uint8))
-    on_boundary = np.zeros(s)
-    on_boundary[box.boundary_indices] = 1.0
-    # coordinates relative to the lower corner: floor(mean(x)) - lower is
-    # floor(mean(x - lower)), and the offsets are never negative
-    offsets = box.offsets
     for rows in _chunks(n_configs):
-        lab = _label(_open_bonds(rows, box.n_bonds), box.bond_sites, s)
-        n = len(lab)
-        flat = (lab + s * np.arange(n)[:, None]).reshape(-1)
-
-        def per_root(weights=None):
-            if weights is not None:
-                weights = np.broadcast_to(weights, (n, s)).reshape(-1)
-            return np.bincount(flat, weights, minlength=n * s).reshape(n, s)
-
-        size = per_root()
-        center = np.ravel_multi_index(
-            [per_root(offsets[:, k]).astype(np.int64) // np.maximum(size, 1)
-             for k in range(box.d)], box.sides)
-        tables.label[rows] = lab
-        tables.size[rows] = np.take_along_axis(size, lab, axis=1)
-        tables.touches[rows] = np.take_along_axis(per_root(on_boundary) > 0,
-                                                  lab, axis=1)
-        tables.center[rows] = np.take_along_axis(center, lab, axis=1)
+        labels, n = label_sites(box, _open_bonds(rows, box.n_bonds))
+        size, touches, center = cluster_stats(box, labels, n)
+        # labels come in order of each cluster's smallest site, so a site
+        # is its cluster's smallest exactly where the running maximum of
+        # its configuration's labels rises
+        first = np.diff(np.maximum.accumulate(labels, axis=1), axis=1,
+                        prepend=-1) > 0
+        tables.label[rows] = (np.flatnonzero(first) % s)[labels]
+        tables.size[rows] = size[labels]
+        tables.touches[rows] = touches[labels]
+        tables.center[rows] = np.ravel_multi_index(center.T,
+                                                   box.sides)[labels]
     return tables
 
 
@@ -164,20 +132,14 @@ def enumerate_measure(box: Box, params: FKParams,
     params.boundary.validate(box)
     p, q = params.p, params.q
     n = 1 << m
-    # each boundary class is glued by always-open edges, for this count only
-    glue = [(group[0], other) for group in params.boundary.class_lists(box)
-            for other in group[1:]]
-    ends = np.concatenate([box.bond_sites,
-                           np.array(glue, dtype=np.int64).reshape(-1, 2)])
     k = np.empty(n, dtype=np.int64)
     cl = np.empty(n, dtype=np.int64)
     for rows in _chunks(n):
         open_ = _open_bonds(rows, m)
         k[rows] = open_.sum(axis=1)
-        open_ = np.concatenate([open_, np.ones((len(open_), len(glue)), bool)],
-                               axis=1)
-        cl[rows] = (_label(open_, ends, box.n_sites)
-                    == np.arange(box.n_sites)).sum(axis=1)
+        # each configuration's labels are one range, starting at site 0's
+        labels, total = label_sites(box, open_, params.boundary)
+        cl[rows] = np.diff(labels[:, 0], append=total)
     if p == 0.0:
         base = np.where(k == 0, 0.0, -np.inf)
     elif p == 1.0:

@@ -264,6 +264,39 @@ def test_run_decay_honours_boundary(tmp_path, monkeypatch):
     assert [prm.boundary for prm in seen] == [WIRED]
 
 
+def test_run_surgery_honours_boundary(tmp_path, monkeypatch):
+    from fkpoisson import experiment
+    from fkpoisson.fk import WIRED
+    seen = []
+    check = experiment.surgery_mod.weight_ratio_check
+
+    def spy(params, *args, **kwargs):
+        seen.append(params)
+        return check(params, *args, **kwargs)
+
+    monkeypatch.setattr(experiment.surgery_mod, "weight_ratio_check", spy)
+    cfg = {"sides": [6, 6], "p": 0.5, "instances": 3, "boundary": "wired",
+           "seed": 5}
+    run("surgery", cfg, str(tmp_path / "s"))
+    assert [(prm.q, prm.boundary) for prm in seen] == [(2.0, WIRED)] * 3
+
+
+def test_chenstein_report_flags_a_vacuous_sampled_bound(tmp_path):
+    # the 8x8 q = 1 config of the benchmark: b1 alone is large
+    cfg = {"sides": [8, 8], "p": 0.6, "q": 1.0, "samples": 2000, "n": 2,
+           "seed": 5}
+    run("chenstein", cfg, str(tmp_path / "v"))
+    bound = json.load(open(tmp_path / "v" / "rep000" / "report.json")
+                      )["report"]["tv_bound"]
+    assert bound["hi"] >= 2.0 and bound["vacuous"] is True
+    cfg = {"sides": [6], "p": 0.5, "q": 1.0, "samples": 3000, "n": 2,
+           "seed": 6}
+    run("chenstein", cfg, str(tmp_path / "c"))
+    bound = json.load(open(tmp_path / "c" / "rep000" / "report.json")
+                      )["report"]["tv_bound"]
+    assert bound["hi"] < 2.0 and bound["vacuous"] is False
+
+
 def test_run_coupling_subcommand(tmp_path):
     cfg = {"sides": [5, 5], "p": 0.9, "q": 2.0, "pairs": 60,
            "thinning": 1, "burn_in": 30, "seed": 7,

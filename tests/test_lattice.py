@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fkpoisson.lattice import (Box, bonds_of, boundary, l1, pair_order,
-                               pair_sort_key, set_distance, star_neighbors)
+from fkpoisson.lattice import (Box, l1, pair_order, pair_sort_key,
+                               set_distance, star_neighbors)
 from reference_labelers import tuple_tables
 
 
@@ -18,13 +18,13 @@ def brute_force_bonds(box):
 
 
 def test_bonds_tiny_boxes():
-    assert len(bonds_of(Box((0, 0), (1, 2)))) == 1
-    assert len(bonds_of(Box((0, 0), (2, 2)))) == 4
+    assert len(Box((0, 0), (1, 2)).bonds) == 1
+    assert len(Box((0, 0), (2, 2)).bonds) == 4
 
 
 def test_bonds_3x3_closed_form_and_brute_force():
     box = Box.cube(2, 3)
-    bonds = bonds_of(box)
+    bonds = box.bonds
     assert len(bonds) == 2 * 3 * (3 - 1) == 12
     assert {tuple(sorted(b)) for b in bonds} == brute_force_bonds(box)
 
@@ -38,8 +38,8 @@ def test_bonds_count_closed_form_random_shapes():
         box = Box(lower, sides)
         expect = sum((sides[a] - 1) * int(np.prod([s for i, s in enumerate(sides) if i != a]))
                      for a in range(d))
-        assert len(bonds_of(box)) == expect
-        assert len(set(bonds_of(box))) == len(bonds_of(box))
+        assert len(box.bonds) == expect
+        assert len(set(box.bonds)) == len(box.bonds)
 
 
 def test_array_tables_equal_tuple_tables():
@@ -72,8 +72,8 @@ def test_doubled_grid_cells():
 
 
 def test_boundary_examples():
-    assert boundary(Box.cube(2, 1)) == {(0, 0)}
-    b3 = boundary(Box.cube(2, 3))
+    assert Box.cube(2, 1).boundary == {(0, 0)}
+    b3 = Box.cube(2, 3).boundary
     assert len(b3) == 8 and (1, 1) not in b3
     # brute force: sites with an out-neighbor
     box = Box.cube(2, 4)
@@ -81,7 +81,7 @@ def test_boundary_examples():
              if any(not box.contains(y)
                     for y in ((x[0] + 1, x[1]), (x[0] - 1, x[1]),
                               (x[0], x[1] + 1), (x[0], x[1] - 1)))}
-    assert boundary(box) == brute
+    assert box.boundary == brute
     assert len(brute) == 12
 
 

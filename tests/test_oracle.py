@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from fkpoisson import oracle
-from fkpoisson.census import label_clusters, mass_center
+from fkpoisson.census import mass_center
 from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, FKParams,
                           ResourceCapError)
 from fkpoisson.lattice import Box
-from reference_labelers import DisjointSet, pattern_key
+from reference_labelers import DisjointSet, label_clusters_bfs, pattern_key
 
 CHAIN4 = Box((0,), (4,))
 CHAIN6 = Box((0,), (6,))
@@ -298,9 +298,10 @@ def reference_measure(box, params):
 
 def reference_clusters(dist, i):
     """(sizes, touches, center indices) of the open-bond clusters of
-    configuration i, one entry per cluster, plus each site's cluster."""
+    configuration i, one entry per cluster, plus each site's cluster,
+    by graph search rather than by the labeler that builds the tables."""
     box = dist.box
-    cs = label_clusters(dist.config_of(i))
+    cs = label_clusters_bfs(dist.config_of(i))
     sizes = [c.size for c in cs.clusters]
     touches = [c.touches_boundary for c in cs.clusters]
     centers = [box.site_index(mass_center(c.sites)) for c in cs.clusters]
