@@ -2,8 +2,9 @@
 
 On a 2x2 box every configuration can be enumerated, so the sampled
 configuration frequencies have an exact reference.  The script prints the
-total variation distance as the sample budget grows, for the cluster
-sweep (integer q) and the single-bond heat bath (fractional q).
+total variation distance as the sample budget grows, for the one cluster
+chain: Swendsen-Wang colours at integer q, Chayes-Machta activations at
+fractional q.
 """
 import numpy as np
 
@@ -11,8 +12,8 @@ from fkpoisson import Box, FKParams, enumerate_measure, sample_states
 
 box = Box.cube(2, 2)
 
-for params, label in ((FKParams(0.5, 2.0), "cluster sweep, q=2"),
-                      (FKParams(0.6, 1.5), "heat bath, q=1.5")):
+for params, label in ((FKParams(0.5, 2.0), "Swendsen-Wang, q=2"),
+                      (FKParams(0.6, 1.5), "Chayes-Machta, q=1.5")):
     dist = enumerate_measure(box, params)
     print(f"\n{label} (p={params.p})")
     weights = 1 << np.arange(box.n_bonds)

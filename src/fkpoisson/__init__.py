@@ -7,9 +7,9 @@ from .lattice import (Box, l1, pair_order, pair_sort_key, set_distance,
                       star_neighbors)
 from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  ResourceCapError, cluster_count, config_from_bytes,
-                 config_to_bytes, finite_energy_floor, heatbath_step,
-                 heatbath_sweep, label_sites, log_weight, sample,
-                 sample_states, swendsen_wang_step, weight)
+                 config_to_bytes, finite_energy_floor, label_sites,
+                 log_weight, sample, sample_states, sweep,
+                 swendsen_wang_step, weight)
 from .census import (Census, Cluster, ClusterSet, DecayEstimate, PointField,
                      census_from_states, census_sampled, decay_rate,
                      estimate_px_lambda, label_clusters, mass_center,

@@ -12,7 +12,6 @@ centers commute with integer translations).
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -205,14 +204,14 @@ class Census:
 
     def to_jsonl(self, fh) -> None:
         """One JSON object per cluster row: sample id, size, mass center,
-        boundary contact."""
-        for i in range(self.n_rows):
-            fh.write(json.dumps({
-                "sample": int(self.sample_id[i]),
-                "size": int(self.size[i]),
-                "mass_center": [int(v) for v in self.center[i]],
-                "touches_boundary": bool(self.touches[i]),
-            }) + "\n")
+        boundary contact; the bytes ``json.dumps`` gives each row's dict."""
+        row = ('{"sample": %d, "size": %d, "mass_center": ['
+               + ", ".join(["%d"] * self.box.d)
+               + '], "touches_boundary": %s}\n')
+        columns = zip(self.sample_id.tolist(), self.size.tolist(),
+                      *self.center.T.tolist(),
+                      np.where(self.touches, "true", "false").tolist())
+        fh.write("".join(row % r for r in columns))
 
 
 def census_from_states(box: Box, states: np.ndarray, min_size: int = 1,

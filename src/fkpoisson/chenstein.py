@@ -282,11 +282,16 @@ def exact_b1_b2(dist: "oracle.ExactDistribution", n: int,
     row-major order of (x, y), one addition at a time."""
     px = oracle.exact_px_field(dist, n, surrogate=surrogate)
     pxy = oracle.exact_pxy_matrix(dist, n, window="plain", surrogate=surrogate)
-    x, y = np.nonzero(_near(dist.box, n, side))
+    return _b1_b2(dist.box, n, side, px, pxy) + (px,)
+
+
+def _b1_b2(box: Box, n: int, side: int | None, px: np.ndarray,
+           pxy: np.ndarray) -> tuple[float, float]:
+    x, y = np.nonzero(_near(box, n, side))
     b1 = oracle._ordered_sum(px[x] * px[y])
     x, y = x[x != y], y[x != y]
     b2 = oracle._ordered_sum(pxy[x, y])
-    return b1, b2, px
+    return b1, b2
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +507,8 @@ def exact_bound_instance(box: Box, params: FKParams, n: int,
     """
     if dist is None:
         dist = oracle.enumerate_measure(box, params)
-    b1, b2, px = exact_b1_b2(dist, n, side, surrogate)
-    law_x = oracle.exact_point_process_law(dist, n, "plain", surrogate)
+    px, pxy, law_x = oracle.exact_center_laws(dist, n, surrogate)
+    b1, b2 = _b1_b2(box, n, side, px, pxy)
     b3 = _b3_of_law(law_x, n, side)
     law_y = oracle.product_law(px, box)
     tv = oracle.exact_tv(law_x, law_y)

@@ -6,19 +6,20 @@ measure weights a configuration by ``p^#open (1-p)^#closed q^cl_pi`` where
 virtually glues boundary sites together.  Weights are handled in log space
 throughout: ``q^cl`` overflows beyond a few hundred sites.
 
-Clusters are labeled by ``label_sites``, one labeler for the samplers,
-the census and the exact oracle; only the heat bath keeps its own.  A
-batch of configurations is drawn on the box's doubled grid (sites at
-even cells, open bonds at the odd cells between them) and labeled by one
-``scipy.ndimage.label`` call; boundary classes are then glued by merging
-the labels of their sites.
+Clusters are labeled in two steps, one labeler for the samplers, the
+census and the exact oracle.  ``bond_grid`` draws a batch of
+configurations as one image: each on the box's doubled grid (sites at
+even cells, open bonds at the odd cells between them), stacked along
+axis 0 with an empty slab between them.  ``label_grid`` labels that
+image with one ``scipy.ndimage.label`` call and glues boundary classes
+by merging the labels of their sites.  ``label_sites`` does both.
 
-Sampling uses the cluster color-and-rebond sweep for integer q and a
-systematic-scan single-bond heat bath otherwise.  Both kernels leave the
-target measure invariant; neither the update schedule nor the initial
-all-open state matters after burn-in (default ``10 * n_sites`` sweeps).
-The heat bath asks one connectivity question per bond and keeps a small
-disjoint-set forest for it.
+Sampling is one cluster chain for every q >= 1, kept in a bond grid
+between sweeps: each sweep labels the grid, marks every cluster and
+redraws the bonds the marks allow.  The marks are Swendsen-Wang colours
+for integer q and Chayes-Machta activations otherwise (see ``_Chain``).
+Both kernels leave the target measure invariant; the initial all-open
+state does not matter after burn-in (default ``10 * n_sites`` sweeps).
 """
 from __future__ import annotations
 
@@ -165,12 +166,55 @@ class BondConfig:
 
 @lru_cache(maxsize=None)
 def _cross(d: int) -> np.ndarray:
-    """Nearest-neighbour structure on (configuration, *grid) arrays: the
-    d-dimensional cross, with no connection along the configuration axis."""
-    structure = np.zeros((3,) * (d + 1), dtype=bool)
-    structure[1] = ndimage.generate_binary_structure(d, 1)
+    """The d-dimensional nearest-neighbour cross."""
+    structure = ndimage.generate_binary_structure(d, 1)
     structure.flags.writeable = False
     return structure
+
+
+@lru_cache(maxsize=64)
+def _block(box: Box) -> tuple[np.ndarray, tuple[int, ...], np.ndarray,
+                              np.ndarray]:
+    """One configuration's block of a bond grid: (flat read-only bool
+    template, true at the site cells; block shape; flat cell of each site;
+    flat cell of each bond).  The block is the box's doubled grid plus one
+    empty slab at the end of axis 0, so blocks stacked along axis 0 never
+    touch and a site or bond keeps its doubled grid's flat cell.  Cached by
+    box value, so equal boxes share one table."""
+    sites_only, site_cells, bond_cells = box.doubled_grid
+    shape = (sites_only.shape[0] + 1,) + sites_only.shape[1:]
+    template = np.zeros(shape, dtype=bool)
+    template[:-1] = sites_only
+    template = template.reshape(-1)
+    template.flags.writeable = False
+    return template, shape, site_cells, bond_cells
+
+
+def bond_grid(box: Box, states: np.ndarray) -> np.ndarray:
+    """A (configs, n_bonds) batch of open(1)/closed(0) bits drawn as one
+    d-dimensional bool image: each configuration's doubled grid (sites at
+    the even cells, true; each bond at the cell between its endpoints,
+    true when open), stacked along axis 0 with one empty slab after each."""
+    template, shape, _, bond_cells = _block(box)
+    c = len(states)
+    grid = template[None].repeat(c, axis=0)
+    grid[:, bond_cells] = states
+    return grid.reshape((c * shape[0],) + shape[1:])
+
+
+def label_grid(box: Box, grid: np.ndarray,
+               bc: BoundaryCondition = FREE) -> tuple[np.ndarray, int]:
+    """Clusters of the configurations drawn in a ``bond_grid`` image, as
+    ``label_sites`` returns them."""
+    template, _, site_cells, _ = _block(box)
+    # ndimage numbers components 1..n in raster order of their first cell:
+    # configuration by configuration, and within one from its smallest site
+    lab, n = ndimage.label(grid, _cross(box.d))
+    labels = lab.reshape(-1, len(template)).take(site_cells, axis=1)
+    labels -= 1
+    if bc.kind == "free":
+        return labels, n
+    return _glue(labels, n, *_glue_table(bc, box))
 
 
 @lru_cache(maxsize=64)
@@ -195,18 +239,7 @@ def label_sites(box: Box, states: np.ndarray,
     cluster's smallest site index, configuration by configuration, so
     every configuration's labels form one contiguous range.
     """
-    sites_only, site_cells, bond_cells = box.doubled_grid
-    c = len(states)
-    grid = sites_only[None].repeat(c, axis=0)
-    grid.reshape(c, -1)[:, bond_cells] = states
-    # ndimage numbers components 1..n in raster order of their first cell,
-    # and a component's first cell is its smallest site
-    lab, n = ndimage.label(grid, _cross(box.d))
-    labels = lab.reshape(c, -1).take(site_cells, axis=1)
-    labels -= 1
-    if bc.kind == "free":
-        return labels, n
-    return _glue(labels, n, *_glue_table(bc, box))
+    return label_grid(box, bond_grid(box, states), bc)
 
 
 def _glue(labels: np.ndarray, n: int, sites: np.ndarray, classes: np.ndarray,
@@ -276,75 +309,84 @@ def finite_energy_floor(params: FKParams) -> float:
 # Markov kernels
 
 
-class _DisjointSet:
-    """Array disjoint-set forest with path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _connected_off_bond(n_sites: int, ends: list, state: list,
-                        groups: list, bond: int) -> bool:
-    """Whether the endpoints of ``bond`` are joined by the other open bonds
-    or a boundary class; ``ends`` and ``state`` are per-bond lists."""
-    ds = _DisjointSet(n_sites)
-    for i, (a, b) in enumerate(ends):
-        if state[i] and i != bond:
-            ds.union(a, b)
-    for group in groups:
-        for j in group[1:]:
-            ds.union(group[0], j)
-    a, b = ends[bond]
-    return ds.find(a) == ds.find(b)
+@lru_cache(maxsize=64)
+def _axes(box: Box) -> tuple:
+    """Per axis k with bonds: (the cells of the axis-k bonds in a one-block
+    bond grid, the slices of a (sides)-shaped site array at their lower and
+    upper endpoints, and the index of each of those bonds in bond order),
+    each shaped like the axis-k bonds."""
+    index = np.full((box.n_sites, box.d), -1, dtype=np.int64)
+    index[box.offsets < np.array(box.sides) - 1] = np.arange(box.n_bonds)
+    out = []
+    for k, s in enumerate(box.sides):
+        if s == 1:
+            continue
+        cells = [slice(0, None, 2)] * box.d
+        cells[k] = slice(1, 2 * s - 1, 2)
+        lo, hi = [slice(None)] * box.d, [slice(None)] * box.d
+        lo[k], hi[k] = slice(0, s - 1), slice(1, s)
+        lo, hi = tuple(lo), tuple(hi)
+        out.append((tuple(cells), lo, hi,
+                    index[:, k].reshape(box.sides)[lo].copy()))
+    return tuple(out)
 
 
-def heatbath_step(config: BondConfig, params: FKParams, e: Bond,
-                  u: float) -> BondConfig:
-    """Resample bond e from its exact conditional law given all other bonds.
+class _Chain:
+    """The cluster chain: one configuration kept in a one-block
+    ``bond_grid`` and moved in place, sweep by sweep.
 
-    Open probability is p when the endpoints are connected off e (opening
-    does not change the cluster count) and p / (p + q(1-p)) otherwise.
+    A sweep labels the clusters, marks each, redraws the bonds the marks
+    allow as Bernoulli(p) and keeps every other bond.
+
+    - Integer q (Swendsen & Wang, PRL 58, 86, 1987): the marks are uniform
+      colours among q, ``rng.integers(0, q, n)`` over the n clusters in
+      label order; a bond is redrawn when its endpoints share a colour.
+      Every other bond joins two clusters, so it is closed and stays so.
+    - Other q (Chayes & Machta, Physica A 254, 477, 1998): a cluster is
+      active when ``rng.random(n) < 1 / q``; a bond is redrawn when both
+      its endpoints are active.
+
+    Both then draw ``rng.random(n_bonds)`` in bond order, one number per
+    bond whether or not it is redrawn.  Both leave the FK measure of
+    ``params`` invariant.
     """
-    box = config.box
-    i = box.bond_index[e]
-    p, q = params.p, params.q
-    if _connected_off_bond(box.n_sites, box.bond_sites.tolist(),
-                           config.state.tolist(),
-                           params.boundary.class_lists(box), i):
-        p_open = p
-    else:
-        p_open = p / (p + q * (1.0 - p))
-    out = config.copy()
-    out.state[i] = 1 if u < p_open else 0
-    return out
+
+    def __init__(self, box: Box, params: FKParams, state: np.ndarray):
+        self.box, self.params = box, params
+        self.colours = int(round(params.q)) if params.integer_q else 0
+        self.grid = bond_grid(box, state[None])
+        self.bonds = [(self.grid[cells], lo, hi, order)
+                      for cells, lo, hi, order in _axes(box)]
+
+    def step(self, rng: np.random.Generator) -> None:
+        box, params = self.box, self.params
+        labels, n = label_grid(box, self.grid, params.boundary)
+        site = labels.reshape(box.sides)
+        if self.colours:
+            mark = rng.integers(0, self.colours, size=n).take(site)
+        else:
+            mark = (rng.random(n) < 1.0 / params.q).take(site)
+        fresh = rng.random(box.n_bonds) < params.p
+        for bonds, lo, hi, order in self.bonds:
+            if self.colours:
+                np.logical_and(mark[lo] == mark[hi], fresh.take(order),
+                               out=bonds)
+            else:
+                np.copyto(bonds, fresh.take(order), where=mark[lo] & mark[hi])
+
+    def state(self) -> np.ndarray:
+        """The current configuration as open(1)/closed(0) bits in bond
+        order."""
+        return self.grid.reshape(-1).take(_block(self.box)[3]).view(np.uint8)
 
 
-def heatbath_sweep(config: BondConfig, params: FKParams,
-                   rng: np.random.Generator) -> BondConfig:
-    """Systematic scan: one heat-bath update of every bond in order."""
-    box = config.box
-    p, q = params.p, params.q
-    p_apart = p / (p + q * (1.0 - p))
-    ends = box.bond_sites.tolist()
-    groups = params.boundary.class_lists(box)
-    state = config.state.tolist()
-    us = rng.random(box.n_bonds).tolist()
-    for i in range(box.n_bonds):
-        joined = _connected_off_bond(box.n_sites, ends, state, groups, i)
-        state[i] = 1 if us[i] < (p if joined else p_apart) else 0
-    return BondConfig(box, np.array(state, dtype=np.uint8))
+def sweep(config: BondConfig, params: FKParams,
+          rng: np.random.Generator) -> BondConfig:
+    """One sweep of the cluster chain from ``config`` (see ``_Chain``):
+    Swendsen-Wang for integer q, Chayes-Machta otherwise."""
+    chain = _Chain(config.box, params, config.state)
+    chain.step(rng)
+    return BondConfig(config.box, chain.state())
 
 
 def swendsen_wang_step(config: BondConfig, params: FKParams,
@@ -356,21 +398,8 @@ def swendsen_wang_step(config: BondConfig, params: FKParams,
     independently with probability p, all others closed.  Requires integer q.
     """
     if not params.integer_q:
-        raise ValueError("cluster sweep needs integer q; use heatbath_sweep")
-    box = config.box
-    labels, n = label_sites(box, config.state[None], params.boundary)
-    colors = rng.integers(0, int(round(params.q)), size=n)
-    ends = colors.take(labels[0]).take(box.bond_sites.T)
-    same = ends[0] == ends[1]
-    new_state = same & (rng.random(box.n_bonds) < params.p)
-    return BondConfig(box, new_state.view(np.uint8))
-
-
-def sweep(config: BondConfig, params: FKParams,
-          rng: np.random.Generator) -> BondConfig:
-    if params.integer_q:
-        return swendsen_wang_step(config, params, rng)
-    return heatbath_sweep(config, params, rng)
+        raise ValueError("cluster sweep needs integer q; use sweep")
+    return sweep(config, params, rng)
 
 
 def default_burn_in(box: Box) -> int:
@@ -382,18 +411,20 @@ def sample(params: FKParams, box: Box, sweeps: int, seed) -> BondConfig:
     (params, box, sweeps, seed)."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    params.boundary.validate(box)
-    rng = np.random.default_rng(seed)
-    config = BondConfig.all_open(box)
-    for _ in range(sweeps):
-        config = sweep(config, params, rng)
-    return config
+    return BondConfig(box, sample_states(params, box, 1, thinning=sweeps,
+                                         burn_in=0, seed=seed)[0])
 
 
 def sample_states(params: FKParams, box: Box, n_samples: int,
                   thinning: int = 10, burn_in: int | None = None,
                   seed=0) -> np.ndarray:
-    """(n_samples, n_bonds) uint8 matrix of thinned post-burn-in samples."""
+    """(n_samples, n_bonds) uint8 matrix of thinned post-burn-in samples.
+
+    One chain from the all-open state (see ``_Chain``): Swendsen-Wang at
+    integer q, Chayes-Machta otherwise.  Its random numbers come from
+    ``default_rng(seed)`` sweep by sweep, so ``sweep`` called as many times
+    from all-open with that generator gives the same configurations.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if thinning < 1:
@@ -402,14 +433,14 @@ def sample_states(params: FKParams, box: Box, n_samples: int,
     if burn_in is None:
         burn_in = default_burn_in(box)
     rng = np.random.default_rng(seed)
-    config = BondConfig.all_open(box)
+    chain = _Chain(box, params, np.ones(box.n_bonds, dtype=np.uint8))
     for _ in range(burn_in):
-        config = sweep(config, params, rng)
+        chain.step(rng)
     out = np.empty((n_samples, box.n_bonds), dtype=np.uint8)
     for s in range(n_samples):
         for _ in range(thinning):
-            config = sweep(config, params, rng)
-        out[s] = config.state
+            chain.step(rng)
+        out[s] = chain.state()
     return out
 
 

@@ -244,11 +244,25 @@ def exact_point_process_law(dist: ExactDistribution, n: int,
         raise ValueError("n must be >= 1")
     keys, probs = [], []
     for rows in _chunks(dist.n_configs):
-        pr = dist.probs[rows]
-        live = pr != 0.0
-        field = _center_counts(dist, rows, n, variant, surrogate)[live] > 0
-        keys.append(np.packbits(field, axis=1))
-        probs.append(pr[live])
+        _add_patterns(keys, probs,
+                      _center_counts(dist, rows, n, variant, surrogate),
+                      dist.probs[rows])
+    return _pattern_law(dist.box, n, variant, keys, probs)
+
+
+def _add_patterns(keys: list, probs: list, counts: np.ndarray,
+                  pr: np.ndarray) -> None:
+    """Append the packed center field and probability of each configuration
+    of positive probability in one chunk."""
+    live = pr != 0.0
+    keys.append(np.packbits(counts[live] > 0, axis=1))
+    probs.append(pr[live])
+
+
+def _pattern_law(box: Box, n: int, variant: str, keys: list,
+                 probs: list) -> PatternLaw:
+    """The law whose atoms are the ``_add_patterns`` fields, each pattern's
+    mass summed in configuration order."""
     keys = np.concatenate(keys)
     # one integer per pattern, for a fast unique: a box of k sites has at
     # least k - 1 bonds, so any box that can be enumerated has a key of at
@@ -262,7 +276,7 @@ def exact_point_process_law(dist: ExactDistribution, n: int,
     np.add.at(mass, inverse.reshape(-1), np.concatenate(probs))
     table = {keys[first[j]].tobytes(): float(mass[j])
              for j in np.argsort(first)}
-    return PatternLaw(dist.box, n, variant, table)
+    return PatternLaw(box, n, variant, table)
 
 
 def product_law(px: np.ndarray, box: Box, n: int = 0,
@@ -311,9 +325,14 @@ def exact_px_field(dist: ExactDistribution, n: int, variant: str = "plain",
     """Exact P(X(x) = 1) for every site, directly from configurations."""
     out = np.zeros(dist.box.n_sites)
     for rows in _chunks(dist.n_configs):
-        r, s = np.nonzero(_center_counts(dist, rows, n, variant, surrogate))
-        np.add.at(out, s, dist.probs[rows][r])
+        _add_px(out, _center_counts(dist, rows, n, variant, surrogate),
+                dist.probs[rows])
     return out
+
+
+def _add_px(out: np.ndarray, counts: np.ndarray, pr: np.ndarray) -> None:
+    r, s = np.nonzero(counts)
+    np.add.at(out, s, pr[r])
 
 
 def exact_pxy_matrix(dist: ExactDistribution, n: int,
@@ -328,15 +347,38 @@ def exact_pxy_matrix(dist: ExactDistribution, n: int,
     out = np.zeros((k, k))
     variant = "plain" if window == "plain" else "local"
     for rows in _chunks(dist.n_configs):
-        counts = _center_counts(dist, rows, n, variant, surrogate)
-        pr = dist.probs[rows]
-        # the present centers, configuration by configuration
-        r, s = np.nonzero(counts)
-        a, b = _ordered_pairs(r)
-        np.add.at(out, (s[a], s[b]), pr[r[a]])
-        r, s = np.nonzero(counts >= 2)
-        np.add.at(out, (s, s), pr[r])
+        _add_pxy(out, _center_counts(dist, rows, n, variant, surrogate),
+                 dist.probs[rows])
     return out
+
+
+def _add_pxy(out: np.ndarray, counts: np.ndarray, pr: np.ndarray) -> None:
+    # the present centers, configuration by configuration
+    r, s = np.nonzero(counts)
+    a, b = _ordered_pairs(r)
+    np.add.at(out, (s[a], s[b]), pr[r[a]])
+    r, s = np.nonzero(counts >= 2)
+    np.add.at(out, (s, s), pr[r])
+
+
+def exact_center_laws(dist: ExactDistribution, n: int,
+                      surrogate: str = "boundary"
+                      ) -> tuple[np.ndarray, np.ndarray, PatternLaw]:
+    """``exact_px_field``, ``exact_pxy_matrix`` and
+    ``exact_point_process_law`` of the plain variant, equal to them bit for
+    bit, from one pass that reduces each chunk's center counts once."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = dist.box.n_sites
+    px, pxy = np.zeros(k), np.zeros((k, k))
+    keys, probs = [], []
+    for rows in _chunks(dist.n_configs):
+        counts = _center_counts(dist, rows, n, "plain", surrogate)
+        pr = dist.probs[rows]
+        _add_px(px, counts, pr)
+        _add_pxy(pxy, counts, pr)
+        _add_patterns(keys, probs, counts, pr)
+    return px, pxy, _pattern_law(dist.box, n, "plain", keys, probs)
 
 
 def _ordered_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Loop reference implementations that the array code is tested against:
-a graph-search cluster labeler, a disjoint-set forest, the Box tables
+a graph-search cluster labeler, a disjoint-set forest, the single-bond
+heat bath (the exact conditional law of one bond), the Box tables
 derived from tuples of sites, pair statistics over cluster sets, the
 site-by-site stratified b3, the replicate-by-replicate Poisson
 bootstrap, and the exact pair matrix, b1/b2, b3 of a pattern law,
@@ -36,6 +37,29 @@ class DisjointSet:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[rj] = ri
+
+
+def heatbath_step(config, params, e, u: float):
+    """Resample bond e from its exact conditional law given all other bonds.
+
+    Open probability is p when the endpoints are connected off e (opening
+    does not change the cluster count) and p / (p + q(1-p)) otherwise.
+    """
+    box = config.box
+    i = box.bond_index[e]
+    p, q = params.p, params.q
+    ds = DisjointSet(box.n_sites)
+    for j, (a, b) in enumerate(box.bond_sites.tolist()):
+        if config.state[j] and j != i:
+            ds.union(a, b)
+    for group in params.boundary.class_lists(box):
+        for j in group[1:]:
+            ds.union(group[0], j)
+    a, b = box.bond_sites[i].tolist()
+    p_open = p if ds.find(a) == ds.find(b) else p / (p + q * (1.0 - p))
+    out = config.copy()
+    out.state[i] = 1 if u < p_open else 0
+    return out
 
 
 def label_clusters_bfs(config, bc=FREE) -> ClusterSet:

@@ -51,7 +51,7 @@ def test_criterion_01_sampler_matches_oracle():
                                burn_in=1000, seed=seed)
         tv = empirical_tv(states, dist)
         elapsed = time.perf_counter() - t0
-        kernel = "cluster-sweep" if params.integer_q else "heat-bath"
+        kernel = "swendsen-wang" if params.integer_q else "chayes-machta"
         lines.append(f"{kernel} q={params.q}: tv={tv:.4f} ({elapsed:.0f}s)")
         ok = ok and tv < 0.02 and elapsed < 120.0
     report(1, ok, "; ".join(lines))

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,26 @@ def test_census_q1_draw_order_across_chunks():
                                          origin=box.center), ref)
         assert_rows_equal(census_from_states(box, states, 2, box.center, bc),
                           ref)
+
+
+@pytest.mark.parametrize("box", [Box((-4,), (9,)), Box((-2, 1), (5, 4)),
+                                 Box((0, -1, -3), (3, 3, 2))])
+def test_census_jsonl_is_json_dumps_of_each_row(box):
+    # census.jsonl bytes are those json.dumps gives the row dicts, in every
+    # dimension and for negative coordinates; no rows write nothing
+    rng = np.random.default_rng(8)
+    states = (rng.random((5, box.n_bonds)) < 0.5).astype(np.uint8)
+    for min_size in (1, box.n_sites + 1):
+        census = census_from_states(box, states, min_size)
+        fh = io.StringIO()
+        census.to_jsonl(fh)
+        assert fh.getvalue() == "".join(
+            json.dumps({"sample": int(i), "size": int(z),
+                        "mass_center": [int(v) for v in c],
+                        "touches_boundary": bool(t)}) + "\n"
+            for i, z, c, t in zip(census.sample_id, census.size,
+                                  census.center, census.touches))
+    assert fh.getvalue() == ""  # the last census keeps no rows
 
 
 @pytest.mark.parametrize("bc", [

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from fkpoisson import oracle
 from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
                           FKParams, cluster_count, config_from_bytes,
-                          config_to_bytes, finite_energy_floor,
-                          heatbath_step, label_sites, log_weight, sample,
-                          sample_states, swendsen_wang_step, weight)
+                          config_to_bytes, finite_energy_floor, label_sites,
+                          log_weight, sample, sample_states, sweep,
+                          swendsen_wang_step, weight)
 from fkpoisson.lattice import Box
-from reference_labelers import label_clusters_bfs
+from reference_labelers import heatbath_step, label_clusters_bfs
 
 SINGLE = Box((0,), (2,))
 
@@ -216,6 +216,142 @@ def test_swendsen_wang_requires_integer_q():
     with pytest.raises(ValueError):
         swendsen_wang_step(BondConfig.all_open(SINGLE), FKParams(0.5, 1.5),
                            np.random.default_rng(0))
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: each ``integers`` or ``random``
+    call returns the next scripted array, which must have the asked size."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def _next(self, size):
+        out = self.draws.pop(0)
+        assert len(out) == size
+        return out
+
+    def integers(self, low, high, size):
+        assert low == 0
+        return self._next(size)
+
+    def random(self, size):
+        return self._next(size)
+
+
+DIAGONALS = BoundaryCondition.partition([{(0, 0), (1, 1)},
+                                         {(0, 1), (1, 0)}])
+
+
+def kernel_matrix(box, params):
+    """The transition matrix of one ``sweep`` on ``box``, enumerated over
+    every configuration, every mark of its clusters and every outcome of
+    the bond redraws, each weighted by its probability.  Configuration i
+    has bond j open when bit j of i is set."""
+    m = box.n_bonds
+    p, q = params.p, params.q
+    below, above = 0.0, 1.0 - 1e-9  # uniforms under and over p and 1/q
+    redraws = [(np.where(opened, below, above),
+                math.prod(p if b else 1.0 - p for b in opened))
+               for opened in itertools.product((1, 0), repeat=m)]
+    bits = 1 << np.arange(m)
+    out = np.zeros((1 << m, 1 << m))
+    for cfg in all_configs(box):
+        x = cfg.state @ bits
+        n = len(label_clusters_bfs(cfg, params.boundary).clusters)
+        if params.integer_q:
+            marks = [(np.array(c), q ** -n)
+                     for c in itertools.product(range(int(q)), repeat=n)]
+        else:
+            marks = [(np.where(a, below, above),
+                      math.prod(1.0 / q if on else 1.0 - 1.0 / q
+                                for on in a))
+                     for a in itertools.product((1, 0), repeat=n)]
+        for mark, w_mark in marks:
+            for fresh, w_fresh in redraws:
+                rng = ScriptedRng(mark, fresh)
+                y = sweep(cfg, params, rng).state @ bits
+                assert not rng.draws
+                out[x, y] += w_mark * w_fresh
+    return out
+
+
+@pytest.mark.parametrize("bc", [FREE, WIRED, DIAGONALS],
+                         ids=["free", "wired", "diagonals"])
+@pytest.mark.parametrize("q", [2.0, 3.0, 1.5])
+def test_cluster_kernel_leaves_oracle_law_invariant(q, bc):
+    # Swendsen-Wang at q = 2, 3 and Chayes-Machta at q = 1.5, the exact
+    # one-step matrix of the sampler itself: every row is a law, the FK
+    # measure is invariant, and the kernel is reversible
+    box = Box.cube(2, 2)
+    params = FKParams(0.6, q, bc)
+    pi = oracle.enumerate_measure(box, params).probs
+    P = kernel_matrix(box, params)
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(pi @ P - pi).max() < 1e-12
+    flow = pi[:, None] * P
+    assert np.abs(flow - flow.T).max() < 1e-12
+
+
+def box_and_boundaries(d):
+    box = Box((-1,) * d, ((7,), (4, 5), (3, 2, 3))[d - 1])
+    bsites = sorted(box.boundary)
+    # in d = 1 the two end sites make two singleton classes
+    thirds = BoundaryCondition.partition(
+        [set(bsites[i::3]) for i in range(min(3, len(bsites)))])
+    return box, (FREE, WIRED, thirds)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_chain_is_the_one_step_kernel(q, d):
+    # sample_states keeps its chain in a bond grid and never calls sweep;
+    # the two must still be one kernel drawing one stream
+    box, boundaries = box_and_boundaries(d)
+    n = 15
+    for seed, bc in enumerate(boundaries):
+        params = FKParams(0.55, q, bc)
+        rng = np.random.default_rng(seed)
+        config = BondConfig.all_open(box)
+        steps = []
+        for _ in range(n):
+            config = sweep(config, params, rng)
+            steps.append(config.state)
+        chain = sample_states(params, box, n, thinning=1, burn_in=0,
+                              seed=seed)
+        assert chain.tobytes() == np.array(steps).tobytes()
+        assert sample(params, box, n, seed) == config
+
+
+def reference_sweep(state, box, params, rng):
+    """The documented stream of one cluster sweep, over graph-search
+    clusters in order of their smallest site and bonds in bond order."""
+    cs = label_clusters_bfs(BondConfig(box, state), params.boundary)
+    n = len(cs.clusters)
+    label = np.array([cs.site_cluster[x] for x in box.sites])
+    a, b = box.bond_sites.T
+    if params.integer_q:
+        colour = rng.integers(0, int(params.q), size=n)[label]
+        redraw = colour[a] == colour[b]
+    else:
+        active = (rng.random(n) < 1.0 / params.q)[label]
+        redraw = active[a] & active[b]
+    fresh = rng.random(box.n_bonds) < params.p
+    return np.where(redraw, fresh, state).astype(np.uint8)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_chain_draws_the_documented_stream(q, d):
+    box, (_, _, thirds) = box_and_boundaries(d)
+    params = FKParams(0.55, q, thirds)
+    rng = np.random.default_rng(7)
+    state = np.ones(box.n_bonds, dtype=np.uint8)
+    steps = []
+    for _ in range(12):
+        state = reference_sweep(state, box, params, rng)
+        steps.append(state)
+    chain = sample_states(params, box, 4, thinning=3, burn_in=0, seed=7)
+    assert chain.tobytes() == np.array(steps[2::3]).tobytes()
 
 
 def sampler_tv(params, box, seed, n=20_000):

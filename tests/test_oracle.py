@@ -379,6 +379,10 @@ def test_reductions_equal_configuration_loops(box, params, surrogate, n):
                                                   surrogate=surrogate), pxy)
     got = oracle.exact_point_process_law(dist, n, surrogate=surrogate)
     assert list(got.table.items()) == list(law.items())
+    # the three laws from one pass, as the bound instance takes them
+    one_px, one_pxy, one_law = oracle.exact_center_laws(dist, n, surrogate)
+    assert np.array_equal(one_px, px) and np.array_equal(one_pxy, pxy)
+    assert list(one_law.table.items()) == list(law.items())
     res = oracle.conjecture7_check(box, params, n, box.sites[x],
                                    box.sites[y], surrogate, dist)
     assert (res.lhs, res.rhs) == (lhs, rhs)
@@ -404,6 +408,13 @@ def test_reductions_do_not_depend_on_chunk_size(monkeypatch):
             chunked, 2, surrogate=surrogate).table.items()) == list(
             oracle.exact_point_process_law(
                 whole, 2, surrogate=surrogate).table.items())
+        px, pxy, law = oracle.exact_center_laws(chunked, 2, surrogate)
+        assert np.array_equal(
+            px, oracle.exact_px_field(whole, 2, surrogate=surrogate))
+        assert np.array_equal(
+            pxy, oracle.exact_pxy_matrix(whole, 2, surrogate=surrogate))
+        assert list(law.table.items()) == list(oracle.exact_point_process_law(
+            whole, 2, surrogate=surrogate).table.items())
 
 
 def test_pxy_diagonal_counts_shared_centers():
