@@ -8,7 +8,7 @@ from .lattice import (Box, l1, pair_order, pair_sort_key, set_distance,
 from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  ResourceCapError, cluster_count, config_from_bytes,
                  config_to_bytes, finite_energy_floor, label_sites,
-                 log_weight, sample, sample_states, sweep,
+                 log_weight, sample, sample_states, site_components, sweep,
                  swendsen_wang_step, weight)
 from .census import (Census, Cluster, ClusterSet, DecayEstimate, PointField,
                      census_from_states, census_sampled, decay_rate,

@@ -8,6 +8,13 @@ reaches the probe region Gamma or exposes a white separating layer; the
 event K that it misses Gamma forces the two samples to agree in law on
 Gamma, so 1 - P(K) bounds any boundary-condition influence there.
 
+Sets are bool site masks, and pairs stack into one (pairs, *sides) array.
+The black cluster is the components of (black sites | boundary) that meet
+the boundary under the 3^d block, the reach the components of its
+complement that meet Gamma under the cross (one ``fk.site_components``
+labeling of the stack each), and D the reach within one star step of the
+black cluster.  The functions on one pair run on a stack of one.
+
 Boundary sites are colored from in-box bonds only: the out-of-box bonds do
 not exist in the finite setting, and reports flag this reading.
 """
@@ -17,9 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
-from .fk import BondConfig, BoundaryCondition, FKParams, sample_states
-from .lattice import Box, Site, set_distance, star_neighbors
+from .fk import (BondConfig, BoundaryCondition, FKParams, bond_axes,
+                 sample_states, site_components)
+from .lattice import Box, Site, set_distance
 
 
 @dataclass
@@ -27,8 +36,15 @@ class Coloring:
     box: Box
     white: np.ndarray  # bool per site
 
-    def is_white(self, x: Site) -> bool:
-        return bool(self.white[self.box.site_index(x)])
+
+def _white(box: Box, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """(pairs, *sides) white masks of two (pairs, n_bonds) state stacks."""
+    bad = (s1 & s2) == 0
+    black = np.zeros((len(bad),) + box.sides, dtype=bool)
+    for _, lo, hi, order in bond_axes(box):
+        black[(slice(None),) + lo] |= bad[:, order]
+        black[(slice(None),) + hi] |= bad[:, order]
+    return ~black
 
 
 def color_sites(c1: BondConfig, c2: BondConfig) -> Coloring:
@@ -37,13 +53,46 @@ def color_sites(c1: BondConfig, c2: BondConfig) -> Coloring:
     if c1.box != c2.box:
         raise ValueError("configurations live on different boxes")
     box = c1.box
-    both = (c1.state & c2.state).astype(bool)
-    white = np.ones(box.n_sites, dtype=bool)
-    bs = box.bond_sites
-    bad = ~both
-    np.logical_and.at(white, bs[bad, 0], False)
-    np.logical_and.at(white, bs[bad, 1], False)
-    return Coloring(box, white)
+    return Coloring(box, _white(box, c1.state[None], c2.state[None]
+                                ).reshape(-1))
+
+
+def _mask(box: Box, sites) -> np.ndarray:
+    """(*sides) mask of the given sites that lie in the box."""
+    m = np.zeros(box.n_sites, dtype=bool)
+    m[[box.site_index(s) for s in sites if box.contains(s)]] = True
+    return m.reshape(box.sides)
+
+
+def _boundary(box: Box) -> np.ndarray:
+    """(*sides) mask of the boundary sites."""
+    m = np.zeros(box.n_sites, dtype=bool)
+    m[box.boundary_indices] = True
+    return m.reshape(box.sides)
+
+
+def _dilate(masks: np.ndarray, star: bool) -> np.ndarray:
+    """The sites of each mask of a stack and their cross (or, with
+    ``star``, 3^d block) neighbours in the box."""
+    d = masks.ndim - 1
+    structure = ndimage.generate_binary_structure(d, d if star else 1)
+    return ndimage.binary_dilation(masks, structure[None])
+
+
+def _black(white: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V together with every black site joined to V by a star-path through
+    black sites, in each pair of a stack."""
+    return site_components(~white | v, v, star=True)
+
+
+def _shield(black: np.ndarray, gamma: np.ndarray):
+    """(reach, D, K) of a stack of black clusters: the reach is the set of
+    sites with an ordinary path to Gamma avoiding the black cluster, D the
+    reach within one star step of it."""
+    reach = site_components(~black, gamma)
+    d = reach & _dilate(black, star=True)
+    meets = ((black | d) & gamma).reshape(len(black), -1).any(axis=1)
+    return reach, d, ~meets
 
 
 def black_cluster(coloring: Coloring, v_sites) -> frozenset[Site]:
@@ -54,37 +103,8 @@ def black_cluster(coloring: Coloring, v_sites) -> frozenset[Site]:
     for s in v_sites:
         if not box.contains(s):
             raise ValueError(f"seed site {s} outside the box")
-    out = set(v_sites)
-    stack = list(v_sites)
-    while stack:
-        x = stack.pop()
-        for y in star_neighbors(x):
-            if y in out or not box.contains(y):
-                continue
-            if not coloring.white[box.site_index(y)]:
-                out.add(y)
-                stack.append(y)
-    return frozenset(out)
-
-
-def _reachable_avoiding(box: Box, blocked: frozenset[Site], targets) -> set[Site]:
-    """Sites with an ordinary path to the target set avoiding blocked sites."""
-    seeds = [t for t in targets if t not in blocked and box.contains(t)]
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        x = stack.pop()
-        for y in box.neighbors_in(x):
-            if y not in seen and y not in blocked:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def region_interior(coloring: Coloring, black: frozenset[Site],
-                    gamma) -> frozenset[Site]:
-    """Sites with an ordinary path to Gamma avoiding the black cluster."""
-    return frozenset(_reachable_avoiding(coloring.box, black, gamma))
+    white = coloring.white.reshape((1,) + box.sides)
+    return box.sites_in(_black(white, _mask(box, v_sites)))
 
 
 def interior_boundary(coloring: Coloring, black: frozenset[Site],
@@ -92,32 +112,31 @@ def interior_boundary(coloring: Coloring, black: frozenset[Site],
     """Sites outside the black cluster, star-adjacent to it, with an
     ordinary path to Gamma avoiding it."""
     box = coloring.box
-    reach = _reachable_avoiding(box, black, gamma)
-    out = set()
-    for x in reach:
-        if any(y in black for y in star_neighbors(x)):
-            out.add(x)
-    return frozenset(out)
+    black = _mask(box, black)[None]
+    return box.sites_in(_shield(black, _mask(box, gamma))[1])
 
 
 @dataclass
 class CouplingOutcome:
+    """One pair's analysis; the sets are bool masks per site, row-major."""
+
     box: Box
-    gamma: frozenset[Site]
+    gamma: np.ndarray
     coloring: Coloring
-    black: frozenset[Site]
-    interior_bd: frozenset[Site]
-    interior: frozenset[Site]
+    black: np.ndarray
+    interior_bd: np.ndarray
+    interior: np.ndarray
     k: bool
 
     def to_dict(self) -> dict:
+        # row-major site order is the sorted order of the sites
+        def sites(mask):
+            return (self.box.offsets[mask] + self.box.lower).tolist()
         return {
-            "gamma": sorted(list(s) for s in self.gamma),
-            "white_sites": sorted(
-                list(s) for s in self.box.sites
-                if self.coloring.white[self.box.site_index(s)]),
-            "black_cluster": sorted(list(s) for s in self.black),
-            "interior_boundary": sorted(list(s) for s in self.interior_bd),
+            "gamma": sites(self.gamma),
+            "white_sites": sites(self.coloring.white),
+            "black_cluster": sites(self.black),
+            "interior_boundary": sites(self.interior_bd),
             "k": self.k,
         }
 
@@ -125,8 +144,7 @@ class CouplingOutcome:
 def k_event(coloring: Coloring, gamma) -> bool:
     """(black cluster of the boundary, plus its interior boundary) misses
     Gamma."""
-    outcome = analyze_pair_coloring(coloring, gamma)
-    return outcome.k
+    return analyze_pair_coloring(coloring, gamma).k
 
 
 def analyze_pair_coloring(coloring: Coloring, gamma) -> CouplingOutcome:
@@ -134,11 +152,12 @@ def analyze_pair_coloring(coloring: Coloring, gamma) -> CouplingOutcome:
     gamma = frozenset(gamma)
     if not gamma or not all(box.contains(g) for g in gamma):
         raise ValueError("Gamma must be a nonempty subset of the box")
-    black = black_cluster(coloring, box.boundary)
-    dbd = interior_boundary(coloring, black, gamma)
-    interior = region_interior(coloring, black, gamma)
-    k = not ((black | dbd) & gamma)
-    return CouplingOutcome(box, gamma, coloring, black, dbd, interior, k)
+    g = _mask(box, gamma)
+    white = coloring.white.reshape((1,) + box.sides)
+    black = _black(white, _boundary(box))
+    reach, d, k = _shield(black, g)
+    return CouplingOutcome(box, g.reshape(-1), coloring, black.reshape(-1),
+                           d.reshape(-1), reach.reshape(-1), bool(k[0]))
 
 
 def analyze_pair(c1: BondConfig, c2: BondConfig, gamma) -> CouplingOutcome:
@@ -147,21 +166,6 @@ def analyze_pair(c1: BondConfig, c2: BondConfig, gamma) -> CouplingOutcome:
 
 # ---------------------------------------------------------------------------
 # structural facts that hold on the event K
-
-
-def _connected(sites: frozenset[Site], neighbor_fn) -> bool:
-    if len(sites) <= 1:
-        return True
-    start = next(iter(sites))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in neighbor_fn(x):
-            if y in sites and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(sites)
 
 
 @dataclass
@@ -184,37 +188,29 @@ class ClaimsCheck:
 def check_claims(outcome: CouplingOutcome) -> ClaimsCheck:
     """Verify, on a K-outcome, the structural facts the coupling relies on:
 
-    - D is connected (ordinary and star connectivity both tested);
+    - D is connected (ordinary and star connectivity both tested): it is
+      the component of its first site;
     - every site of D is white;
     - D is determined by the colors outside the interior region I
       (recomputed with I forced white, nothing changes);
-    - every boundary site of I is in D or ordinary-adjacent to D.
+    - every boundary site of I (a site of I with an in-box neighbour
+      outside I) is in D or ordinary-adjacent to D.
     """
     box = outcome.box
-    d_set = outcome.interior_bd
-    conn_o = _connected(d_set, lambda x: (y for y in box.neighbors_in(x)))
-    conn_s = _connected(d_set, lambda x: (y for y in star_neighbors(x)
-                                          if box.contains(y)))
-    all_white = all(outcome.coloring.white[box.site_index(x)] for x in d_set)
-
-    masked = outcome.coloring.white.copy()
-    for x in outcome.interior:
-        masked[box.site_index(x)] = True
-    recolored = Coloring(box, masked)
-    black2 = black_cluster(recolored, box.boundary)
-    d2 = interior_boundary(recolored, black2, outcome.gamma)
-    determined = (black2 == outcome.black) and (d2 == d_set)
-
-    # boundary of I: sites of I with an in-box neighbor outside I (I never
-    # reaches the box boundary, which is part of the black cluster)
-    adj = True
-    for x in outcome.interior:
-        if all(y in outcome.interior for y in box.neighbors_in(x)):
-            continue
-        if x in d_set or any(y in d_set for y in box.neighbors_in(x)):
-            continue
-        adj = False
-        break
+    shape = (1,) + box.sides
+    white, gamma, black, d, interior = (
+        m.reshape(shape) for m in (outcome.coloring.white, outcome.gamma,
+                                   outcome.black, outcome.interior_bd,
+                                   outcome.interior))
+    first = d & (np.cumsum(d) == 1).reshape(shape)
+    conn_o, conn_s = (bool((site_components(d, first, star) == d).all())
+                      for star in (False, True))
+    all_white = not (d & ~white).any()
+    black2 = _black(white | interior, _boundary(box))
+    d2 = _shield(black2, gamma)[1]
+    determined = bool((black2 == black).all() and (d2 == d).all())
+    edge = interior & _dilate(~interior, star=False)
+    adj = not (edge & ~_dilate(d, star=False)).any()
     return ClaimsCheck(outcome.k, conn_o, conn_s, all_white, determined, adj)
 
 
@@ -262,8 +258,10 @@ def influence_decay(params: FKParams, box: Box, gammas: list[tuple[str, set]],
     against the coupling bound 1 - P(K), for a shrinking schedule of Gamma.
 
     The same two sample sets (one per boundary condition) serve every row:
-    neither the coloring nor the black cluster depends on Gamma.  Pass
-    ``states`` to reuse pre-drawn (eta, xi) state matrices.
+    neither the coloring nor the black cluster depends on Gamma, so the
+    stack is colored and its black clusters labeled once, and each Gamma
+    costs one reach labeling of the stack.  Pass ``states`` to reuse
+    pre-drawn (eta, xi) state matrices.
     """
     if states is not None:
         states_eta, states_xi = states
@@ -279,16 +277,11 @@ def influence_decay(params: FKParams, box: Box, gammas: list[tuple[str, set]],
     ind_eta = np.array([event(BondConfig(box, s)) for s in states_eta], dtype=float)
     ind_xi = np.array([event(BondConfig(box, s)) for s in states_xi], dtype=float)
 
-    colorings = [color_sites(BondConfig(box, a), BondConfig(box, b))
-                 for a, b in zip(states_eta, states_xi)]
-    blacks = [black_cluster(c, box.boundary) for c in colorings]
-
+    black = _black(_white(box, states_eta, states_xi), _boundary(box))
     rows = []
     for label, gamma in gammas:
         gamma = frozenset(gamma)
-        ks = np.array([
-            not ((b | interior_boundary(c, b, gamma)) & gamma)
-            for c, b in zip(colorings, blacks)], dtype=float)
+        ks = _shield(black, _mask(box, gamma))[2].astype(float)
         p_k = float(ks.mean())
         p_k_se = float(ks.std(ddof=1) / math.sqrt(reps))
         diff = abs(float(ind_eta.mean() - ind_xi.mean()))

@@ -21,7 +21,7 @@ from . import chenstein, coupling, oracle, surgery as surgery_mod, wulff as wulf
 from .census import (census_from_states, census_sampled, decay_rate,
                      label_clusters, point_process, state_chunks)
 from .fk import (FREE, WIRED, BondConfig, FKParams, config_to_bytes,
-                 sample_states)
+                 label_sites, sample_states)
 from .lattice import Box, set_distance
 
 
@@ -373,9 +373,9 @@ def _run_surgery(config, seed_seq, out_dir):
 
 
 def _merged_is_single(res) -> bool:
-    cs = label_clusters(res.new_config)
-    idx = {cs.site_cluster[s] for s in res.merged_sites}
-    return len(idx) == 1
+    box = res.new_config.box
+    labels = label_sites(box, res.new_config.state[None])[0][0]
+    return len(set(labels[[box.site_index(s) for s in res.merged_sites]])) == 1
 
 
 def _run_coupling(config, seed_seq, out_dir):

@@ -13,6 +13,8 @@ even cells, open bonds at the odd cells between them), stacked along
 axis 0 with an empty slab between them.  ``label_grid`` labels that
 image with one ``scipy.ndimage.label`` call and glues boundary classes
 by merging the labels of their sites.  ``label_sites`` does both.
+``site_components`` labels a stack of site masks (the coupling's sets)
+with one call of the same kind; no other module calls ``ndimage.label``.
 
 Sampling is one cluster chain for every q >= 1, kept in a bond grid
 between sweeps: each sweep labels the grid, marks every cluster and
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .lattice import Bond, Box, Site
+from .lattice import Box, Site
 
 
 class ResourceCapError(RuntimeError):
@@ -144,14 +146,6 @@ class BondConfig:
     def copy(self) -> "BondConfig":
         return BondConfig(self.box, self.state.copy())
 
-    def is_open(self, bond: Bond) -> bool:
-        return bool(self.state[self.box.bond_index[bond]])
-
-    def with_bond(self, bond: Bond, open_: bool) -> "BondConfig":
-        out = self.copy()
-        out.state[self.box.bond_index[bond]] = 1 if open_ else 0
-        return out
-
     def open_count(self) -> int:
         return int(self.state.sum())
 
@@ -215,6 +209,21 @@ def label_grid(box: Box, grid: np.ndarray,
     if bc.kind == "free":
         return labels, n
     return _glue(labels, n, *_glue_table(bc, box))
+
+
+def site_components(masks: np.ndarray, seeds: np.ndarray,
+                    star: bool = False) -> np.ndarray:
+    """The sites of a (configs, *sides) stack of bool site masks whose
+    component meets ``seeds`` (a bool mask broadcast against ``masks``),
+    in each configuration under the cross or, with ``star``, the 3^d
+    block: one ``ndimage.label`` call, with no structure along axis 0."""
+    structure = np.zeros((3,) * masks.ndim, dtype=bool)
+    structure[1] = True if star else _cross(masks.ndim - 1)
+    lab, n = ndimage.label(masks, structure)
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[lab[np.broadcast_to(seeds, lab.shape)]] = True
+    hit[0] = False
+    return hit[lab]
 
 
 @lru_cache(maxsize=64)
@@ -310,7 +319,7 @@ def finite_energy_floor(params: FKParams) -> float:
 
 
 @lru_cache(maxsize=64)
-def _axes(box: Box) -> tuple:
+def bond_axes(box: Box) -> tuple:
     """Per axis k with bonds: (the cells of the axis-k bonds in a one-block
     bond grid, the slices of a (sides)-shaped site array at their lower and
     upper endpoints, and the index of each of those bonds in bond order),
@@ -356,7 +365,7 @@ class _Chain:
         self.colours = int(round(params.q)) if params.integer_q else 0
         self.grid = bond_grid(box, state[None])
         self.bonds = [(self.grid[cells], lo, hi, order)
-                      for cells, lo, hi, order in _axes(box)]
+                      for cells, lo, hi, order in bond_axes(box)]
 
     def step(self, rng: np.random.Generator) -> None:
         box, params = self.box, self.params

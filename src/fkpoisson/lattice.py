@@ -162,14 +162,10 @@ class Box:
         grid.flags.writeable = False
         return grid, site_cells, bond_cells
 
-    def neighbors_in(self, x: Site) -> list[Site]:
-        out = []
-        for k in range(self.d):
-            for dx in (-1, 1):
-                y = x[:k] + (x[k] + dx,) + x[k + 1:]
-                if self.contains(y):
-                    out.append(y)
-        return out
+    def sites_in(self, mask: np.ndarray) -> frozenset[Site]:
+        """The sites where a row-major bool mask over the sites is true."""
+        sites = self.sites
+        return frozenset(sites[i] for i in np.flatnonzero(mask).tolist())
 
 
 def l1(x: Site, y: Site) -> int:

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import Cluster, label_clusters
-from .fk import BondConfig, FKParams, ResourceCapError, finite_energy_floor, log_weight
+from .census import Cluster, cluster_stats, label_clusters
+from .fk import (BondConfig, FKParams, ResourceCapError, finite_energy_floor,
+                 label_sites, log_weight)
 from .lattice import Box, Site, l1, pair_sort_key, set_distance
 
 
@@ -175,8 +176,11 @@ def count_antecedents(target: BondConfig, n: int, K: float,
 
     Candidate pairs (u, v) run over the box at L1 distance <= K ln n; for
     each, every assignment of the bonds touching the pair's path is tried
-    and kept only if re-applying the merge reproduces the target.  Raises
-    with the partial search-space size once the candidate budget is hit.
+    and kept only if re-applying the merge reproduces the target.  A
+    pair's assignments are labeled in ``label_sites`` batches, and
+    clusters are built only where the sizes and boundary contact of u's
+    and v's clusters pass.  Raises with the partial search-space size once
+    the candidate budget is hit.
     """
     box = target.box
     cut = K * math.log(n) if n > 1 else 0.0
@@ -187,15 +191,11 @@ def count_antecedents(target: BondConfig, n: int, K: float,
         for v in sites:
             if u == v or l1(u, v) > cut:
                 continue
-            path = axis_path(u, v)
-            touched = set()
-            for s in path:
-                if not box.contains(s):
-                    break
-                touched.update(box.site_bonds[box.site_index(s)])
-            else:
-                candidates.append((u, v, path, sorted(touched)))
-                space += 2.0 ** len(touched)
+            # the staircase between two sites of the box stays in the box
+            touched = sorted({b for s in axis_path(u, v)
+                              for b in box.site_bonds[box.site_index(s)]})
+            candidates.append((box.site_index(u), box.site_index(v), touched))
+            space += 2.0 ** len(touched)
             if len(candidates) > pair_cap or space > state_cap:
                 raise ResourceCapError(
                     f"antecedent search space at least {space:.3g} states "
@@ -203,30 +203,30 @@ def count_antecedents(target: BondConfig, n: int, K: float,
 
     found: set[bytes] = set()
     target_bytes = target.state.tobytes()
-    for u, v, path, touched in candidates:
-        base = target.state.copy()
-        for mask in range(1 << len(touched)):
-            cand = base.copy()
-            for j, bi in enumerate(touched):
-                cand[bi] = (mask >> j) & 1
-            key = cand.tobytes()
-            if key in found:
-                continue
-            cfg = BondConfig(box, cand)
-            cs = label_clusters(cfg)
-            cu = cs.cluster_of(u)
-            cv = cs.cluster_of(v)
-            if cu is cv:
-                continue
-            if not (n <= cu.size < n * n and n <= cv.size < n * n):
-                continue
-            if cu.touches_boundary or cv.touches_boundary:
-                continue
-            if set_distance(cu.sites, cv.sites) > cut:
-                continue
-            res = transform(cfg, cu, cv)
-            if res.new_config.state.tobytes() == target_bytes:
-                found.add(key)
+    # assignments per labeling call: about 2^22 grid cells at most
+    per_call = max(1, (1 << 22) // (4 * box.n_sites))
+    for ui, vi, touched in candidates:
+        for first in range(0, 1 << len(touched), per_call):
+            masks = np.arange(first, min(first + per_call, 1 << len(touched)))
+            cands = np.repeat(target.state[None], len(masks), axis=0)
+            cands[:, touched] = masks[:, None] >> np.arange(len(touched)) & 1
+            labels, m = label_sites(box, cands)
+            size, touches, _ = cluster_stats(box, labels, m)
+            lu, lv = labels[:, ui], labels[:, vi]
+            ok = (lu != lv) & ~touches[lu] & ~touches[lv]
+            for lab in (lu, lv):
+                ok &= (n <= size[lab]) & (size[lab] < n * n)
+            for r in np.flatnonzero(ok).tolist():
+                key = cands[r].tobytes()
+                if key in found:
+                    continue
+                cu, cv = (Cluster(box.sites_in(labels[r] == lab[r]), False)
+                          for lab in (lu, lv))
+                if set_distance(cu.sites, cv.sites) > cut:
+                    continue
+                res = transform(BondConfig(box, cands[r]), cu, cv)
+                if res.new_config.state.tobytes() == target_bytes:
+                    found.add(key)
     return len(found)
 
 

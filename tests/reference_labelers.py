@@ -5,19 +5,21 @@ derived from tuples of sites, pair statistics over cluster sets, the
 site-by-site stratified b3, the replicate-by-replicate Poisson
 bootstrap, and the exact pair matrix, b1/b2, b3 of a pattern law,
 product law and conjecture 7 taken a pair, a site or a pattern at a
-time.  They are deliberately plain and slow."""
+time, the coupling's graph searches over site tuples, and the antecedent
+count that labels one candidate assignment at a time.  They are
+deliberately plain and slow."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from fkpoisson import oracle
-from fkpoisson.census import Cluster, ClusterSet
+from fkpoisson import coupling, oracle, surgery
+from fkpoisson.census import Cluster, ClusterSet, label_clusters
 from fkpoisson.chenstein import (B3Estimate, OffsetStat, PairStats,
                                  neighborhood, neighborhood_offsets)
 from fkpoisson.fk import FREE, BondConfig, ResourceCapError
-from fkpoisson.lattice import Box, set_distance
+from fkpoisson.lattice import Box, l1, set_distance, star_neighbors
 
 
 class DisjointSet:
@@ -403,3 +405,161 @@ def conjecture7_pair(dist, n: int, xi: int, yi: int,
                                          & finite_large(yi, n)])
     rhs = oracle._ordered_sum(dist.probs[finite_large(zi, 2 * n)])
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# the coupling's graph searches
+
+
+def neighbors_in(box: Box, x) -> list:
+    """The nearest neighbours of x inside the box."""
+    out = []
+    for k in range(box.d):
+        for dx in (-1, 1):
+            y = x[:k] + (x[k] + dx,) + x[k + 1:]
+            if box.contains(y):
+                out.append(y)
+    return out
+
+
+def black_cluster_search(coloring, v_sites) -> frozenset:
+    """V together with every black site joined to V by a star-path through
+    black sites."""
+    box = coloring.box
+    out = set(v_sites)
+    stack = list(out)
+    while stack:
+        x = stack.pop()
+        for y in star_neighbors(x):
+            if y in out or not box.contains(y):
+                continue
+            if not coloring.white[box.site_index(y)]:
+                out.add(y)
+                stack.append(y)
+    return frozenset(out)
+
+
+def reachable_avoiding(box: Box, blocked, targets) -> frozenset:
+    """Sites with an ordinary path to the target set avoiding blocked sites."""
+    seeds = [t for t in targets if t not in blocked and box.contains(t)]
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        x = stack.pop()
+        for y in neighbors_in(box, x):
+            if y not in seen and y not in blocked:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+def interior_boundary_search(coloring, black, gamma) -> frozenset:
+    """Sites outside the black cluster, star-adjacent to it, with an
+    ordinary path to Gamma avoiding it."""
+    reach = reachable_avoiding(coloring.box, black, gamma)
+    return frozenset(x for x in reach
+                     if any(y in black for y in star_neighbors(x)))
+
+
+def analyze_search(coloring, gamma) -> dict:
+    """The coupling outcome of one coloring as site sets."""
+    box = coloring.box
+    gamma = frozenset(gamma)
+    black = black_cluster_search(coloring, box.boundary)
+    dbd = interior_boundary_search(coloring, black, gamma)
+    interior = reachable_avoiding(box, black, gamma)
+    return {"black": black, "interior_bd": dbd, "interior": interior,
+            "k": not ((black | dbd) & gamma)}
+
+
+def connected(sites, neighbor_fn) -> bool:
+    if len(sites) <= 1:
+        return True
+    start = next(iter(sites))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in neighbor_fn(x):
+            if y in sites and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(sites)
+
+
+def check_claims_search(coloring, gamma) -> coupling.ClaimsCheck:
+    """``coupling.check_claims`` of the outcome of one coloring, by graph
+    search over site tuples."""
+    box = coloring.box
+    out = analyze_search(coloring, gamma)
+    d_set, interior = out["interior_bd"], out["interior"]
+    conn_o = connected(d_set, lambda x: neighbors_in(box, x))
+    conn_s = connected(d_set, lambda x: (y for y in star_neighbors(x)
+                                         if box.contains(y)))
+    all_white = all(coloring.white[box.site_index(x)] for x in d_set)
+    masked = coloring.white.copy()
+    for x in interior:
+        masked[box.site_index(x)] = True
+    again = analyze_search(coupling.Coloring(box, masked), gamma)
+    determined = again["black"] == out["black"] and \
+        again["interior_bd"] == d_set
+    adj = True
+    for x in interior:
+        if all(y in interior for y in neighbors_in(box, x)):
+            continue
+        if x in d_set or any(y in d_set for y in neighbors_in(box, x)):
+            continue
+        adj = False
+        break
+    return coupling.ClaimsCheck(out["k"], conn_o, conn_s, all_white,
+                                determined, adj)
+
+
+# ---------------------------------------------------------------------------
+# antecedent count, one labeling per candidate assignment
+
+
+def count_antecedents_loop(target: BondConfig, n: int, K: float) -> int:
+    """``surgery.count_antecedents`` (without its caps), labeling every
+    candidate assignment on its own."""
+    box = target.box
+    cut = K * math.log(n) if n > 1 else 0.0
+    candidates = []
+    for u in box.sites:
+        for v in box.sites:
+            if u == v or l1(u, v) > cut:
+                continue
+            path = surgery.axis_path(u, v)
+            touched = set()
+            for s in path:
+                if not box.contains(s):
+                    break
+                touched.update(box.site_bonds[box.site_index(s)])
+            else:
+                candidates.append((u, v, sorted(touched)))
+    found: set[bytes] = set()
+    target_bytes = target.state.tobytes()
+    for u, v, touched in candidates:
+        for mask in range(1 << len(touched)):
+            cand = target.state.copy()
+            for j, bi in enumerate(touched):
+                cand[bi] = (mask >> j) & 1
+            key = cand.tobytes()
+            if key in found:
+                continue
+            cfg = BondConfig(box, cand)
+            cs = label_clusters(cfg)
+            cu = cs.cluster_of(u)
+            cv = cs.cluster_of(v)
+            if cu is cv:
+                continue
+            if not (n <= cu.size < n * n and n <= cv.size < n * n):
+                continue
+            if cu.touches_boundary or cv.touches_boundary:
+                continue
+            if set_distance(cu.sites, cv.sites) > cut:
+                continue
+            res = surgery.transform(cfg, cu, cv)
+            if res.new_config.state.tobytes() == target_bytes:
+                found.add(key)
+    return len(found)

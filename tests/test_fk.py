@@ -1,19 +1,23 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fkpoisson
 from fkpoisson import oracle
 from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
                           FKParams, cluster_count, config_from_bytes,
                           config_to_bytes, finite_energy_floor, label_sites,
-                          log_weight, sample, sample_states, sweep,
-                          swendsen_wang_step, weight)
+                          log_weight, sample, sample_states, site_components,
+                          sweep, swendsen_wang_step, weight)
+from fkpoisson.coupling import Coloring
 from fkpoisson.lattice import Box
-from reference_labelers import heatbath_step, label_clusters_bfs
+from reference_labelers import (black_cluster_search, heatbath_step,
+                                label_clusters_bfs, reachable_avoiding)
 
 SINGLE = Box((0,), (2,))
 
@@ -81,6 +85,38 @@ def test_label_sites_matches_graph_search(batch):
         assert row.tolist() == expect
         offset += len(cs.clusters)
     assert n == offset
+
+
+@pytest.mark.parametrize("box", [Box((0,), (11,)), Box((0, 0), (7, 6)),
+                                 Box((-2, 0, 1), (5, 6, 5))],
+                         ids=lambda b: f"d{b.d}")
+def test_site_components_match_graph_search(box):
+    def site_set(mask):
+        return frozenset(s for s, m in zip(box.sites, mask) if m)
+
+    rng = np.random.default_rng(box.d)
+    masks = rng.random((12, box.n_sites)) < 0.55
+    seeds = rng.random(box.n_sites) < 0.1
+    for star in (False, True):
+        got = site_components(masks.reshape((12,) + box.sides),
+                              seeds.reshape(box.sides), star)
+        for mask, row in zip(masks, got.reshape(12, -1)):
+            sites = site_set(mask)
+            if star:
+                expect = black_cluster_search(Coloring(box, ~mask),
+                                              site_set(seeds & mask))
+            else:
+                expect = reachable_avoiding(
+                    box, frozenset(box.sites) - sites, site_set(seeds))
+            assert site_set(row) == expect
+
+
+def test_ndimage_label_is_called_only_in_fk():
+    """One labeler: every labeling in the package goes through fk."""
+    package = Path(fkpoisson.__file__).parent
+    callers = sorted(p.name for p in package.glob("*.py")
+                     if "ndimage.label(" in p.read_text())
+    assert callers == ["fk.py"]
 
 
 def test_partition_validation():
