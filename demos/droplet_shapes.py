@@ -9,20 +9,17 @@ candidate shape.
 import numpy as np
 
 from fkpoisson import Box
-from fkpoisson.census import label_clusters, point_process
-from fkpoisson.fk import BondConfig
-from fkpoisson.wulff import (empirical_shape, square_shape,
-                             symmetric_difference_stat)
+from fkpoisson.wulff import (empirical_shape, qualifying_clusters,
+                             square_shape, symmetric_difference_stat)
 
 rng = np.random.default_rng(2)
 box = Box.cube(2, 40)
 n = 4
-sets = []
-for _ in range(900):
-    state = (rng.random(box.n_bonds) < 0.7).astype(np.uint8)
-    sets.append(label_clusters(BondConfig(box, state)))
+states = np.array([(rng.random(box.n_bonds) < 0.7).astype(np.uint8)
+                   for _ in range(900)])
+sample, centers, sites, owner = qualifying_clusters(box, states, n)
 
-mask = empirical_shape(sets, n, cells_per_unit=8, min_count=30)
+mask = empirical_shape(sites, owner, centers, cells_per_unit=8, min_count=30)
 print(f"empirical droplet shape from n>={n} clusters: "
       f"volume {mask.volume:.3f} on a 1/8 raster")
 g = mask.grid.astype(int)
@@ -32,13 +29,13 @@ for row in g[::2]:
 diag_rows = []
 shape = square_shape(1.0, 16)
 width = 2  # ceil(ln^2 n)
-for cs in sets[:200]:
-    pf = point_process(cs, n)
-    quals = [c for c in cs.clusters
-             if not c.touches_boundary and c.size >= n]
-    if pf.count() == 0:
+site_sample = sample[owner]
+for i in range(200):
+    if not (sample == i).any():
         continue
-    diag = symmetric_difference_stat(pf, quals, shape, n, width, delta=1.0)
+    diag = symmetric_difference_stat(np.unique(centers[sample == i], axis=0),
+                                     sites[site_sample == i], shape, n,
+                                     width, delta=1.0)
     diag_rows.append(diag.volume / diag.center_count)
 print(f"\nunit-square candidate, fattening width {width}:")
 print(f"mean symmetric-difference volume per center: "

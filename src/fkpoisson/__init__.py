@@ -10,13 +10,13 @@ from .fk import (FREE, WIRED, BondConfig, BoundaryCondition, FKParams,
                  config_to_bytes, finite_energy_floor, label_sites,
                  log_weight, sample, sample_states, site_components, sweep,
                  swendsen_wang_step, weight)
-from .census import (Census, Cluster, ClusterSet, DecayEstimate, PointField,
+from .census import (Census, Cluster, ClusterSet, DecayEstimate,
                      census_from_states, census_sampled, decay_rate,
-                     estimate_px_lambda, label_clusters, mass_center,
-                     point_process, state_chunks, theta_estimate)
+                     label_clusters, mass_center, state_chunks,
+                     theta_estimate)
 from .oracle import (ExactDistribution, PatternLaw, conjecture7_check,
-                     enumerate_measure, event_probability,
-                     exact_point_process_law, exact_px_field,
+                     enumerate_measure, exact_point_process_law,
+                     exact_px_field,
                      exact_pxy_matrix, exact_ratio_mixing, exact_tv,
                      product_law, sample_exact)
 from .chenstein import (B3Estimate, ChenSteinReport, PairStats,
@@ -31,5 +31,5 @@ from .coupling import (ClaimsCheck, Coloring, CouplingOutcome, analyze_pair,
                        influence_decay, interior_boundary, k_event,
                        mixing_scan)
 from .wulff import (ShapeDiagnostic, ShapeMask, empirical_shape, fatten,
-                    renormalize, square_shape, symdiff_volume,
-                    symmetric_difference_stat)
+                    qualifying_clusters, renormalize, square_shape,
+                    symdiff_volume, symmetric_difference_stat)

@@ -12,16 +12,12 @@ centers commute with integer translations).
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from .fk import (FREE, BondConfig, BoundaryCondition, FKParams, label_sites,
                  sample_states)
 from .lattice import Box, Site
-
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # labeling
@@ -75,62 +71,6 @@ def label_clusters(config: BondConfig) -> ClusterSet:
         touches[lab[i]] = True
     clusters = [Cluster(frozenset(m), t) for m, t in zip(members, touches)]
     return ClusterSet(box, clusters, dict(zip(box.sites, lab)))
-
-
-# ---------------------------------------------------------------------------
-# the point process of mass centers
-
-
-@dataclass
-class PointField:
-    """Indicator field over the box: 1 exactly at mass centers of
-    qualifying clusters.
-
-    variant "plain": clusters with n <= |C|, finite.
-    variant "truncated": clusters with n <= |C| < n^2/4, finite.
-    """
-
-    box: Box
-    n: int
-    variant: str
-    field: np.ndarray  # bool, len == n_sites, row-major
-    collisions: int = 0
-
-    def indicator(self, x: Site) -> bool:
-        return bool(self.field[self.box.site_index(x)])
-
-    def count(self) -> int:
-        return int(self.field.sum())
-
-
-def _qualifies(size: int, n: int, variant: str) -> bool:
-    if variant == "plain":
-        return size >= n
-    if variant == "truncated":
-        return n <= size < n * n / 4.0
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def point_process(cs: ClusterSet, n: int, variant: str = "plain") -> PointField:
-    """Mark the mass center of every finite qualifying cluster.
-
-    Two distinct qualifying clusters may share a mass center; the indicator
-    stays 1 and the collision is counted and logged.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    box = cs.box
-    fld = np.zeros(box.n_sites, dtype=bool)
-    collisions = 0
-    for c in cs.clusters:
-        if c.touches_boundary or not _qualifies(c.size, n, variant):
-            continue
-        i = box.site_index(c.mass_center)
-        if fld[i]:
-            collisions += 1
-            log.debug("mass-center collision at %s", c.mass_center)
-        fld[i] = True
-    return PointField(box, n, variant, fld, collisions)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +203,15 @@ def census_sampled(params: FKParams, box: Box, n_samples: int,
                    params.boundary)
 
 
+def configs_per_label_call(box: Box) -> int:
+    """Configurations per ``label_sites`` call: about 2^22 grid cells at
+    most."""
+    return max(1, (1 << 22) // (4 * box.n_sites))
+
+
 def _census(box: Box, chunks, min_size: int, origin: Site | None,
             boundary: BoundaryCondition) -> Census:
-    # configurations per labeling call: about 2^22 grid cells at most
-    per_call = max(1, (1 << 22) // (4 * box.n_sites))
+    per_call = configs_per_label_call(box)
     parts, done = [], 0
     for states in chunks:
         parts += [_census_rows(box, states[i:i + per_call], done + i,
@@ -284,20 +229,27 @@ def _census(box: Box, chunks, min_size: int, origin: Site | None,
 
 
 def cluster_stats(box: Box, labels: np.ndarray, n: int):
-    """Size, boundary contact and floor mass center (as offsets from
-    ``box.lower``) of each of the ``n`` clusters of a (configs, n_sites)
-    array of ``label_sites`` labels."""
-    flat = labels.reshape(-1)
-    size = np.bincount(flat, minlength=n)
+    """Size and boundary contact of each of the ``n`` clusters of a
+    (configs, n_sites) array of ``label_sites`` labels."""
+    size = np.bincount(labels.reshape(-1), minlength=n)
     touches = np.zeros(n, dtype=bool)
     touches[labels[:, box.boundary_indices]] = True
-    center = np.empty((n, box.d), dtype=np.int64)
+    return size, touches
+
+
+def cluster_centers(box: Box, labels: np.ndarray,
+                    size: np.ndarray) -> np.ndarray:
+    """Floor mass center, as offsets from ``box.lower``, of each cluster
+    of a (configs, n_sites) array of ``label_sites`` labels whose sizes
+    ``cluster_stats`` gave."""
+    flat = labels.reshape(-1)
+    center = np.empty((len(size), box.d), dtype=np.int64)
     for k in range(box.d):
         coord = np.tile(box.offsets[:, k], len(labels))
         # whole sums: an integer division floors them exactly, and faster
-        sums = np.bincount(flat, weights=coord, minlength=n)
+        sums = np.bincount(flat, weights=coord, minlength=len(size))
         center[:, k] = sums.astype(np.int64) // size
-    return size, touches, center
+    return center
 
 
 def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
@@ -306,7 +258,8 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
     ``first``: (sample id, size, mass center, boundary contact) per row,
     plus per-sample origin-cluster size and contact when origin is set."""
     labels, n = label_sites(box, states, boundary)
-    size, touches, center = cluster_stats(box, labels, n)
+    size, touches = cluster_stats(box, labels, n)
+    center = cluster_centers(box, labels, size)
     keep = np.flatnonzero(size >= min_size)
     # each sample's labels are one range, starting at its first site's
     owner = np.repeat(np.arange(first, first + len(states)),
@@ -334,21 +287,6 @@ class PxLambdaEstimate:
     n_samples: int
 
 
-def estimate_px_lambda(samples: list[PointField], x: Site) -> PxLambdaEstimate:
-    """Empirical P(X(x)=1) and the expected number of centers, the latter
-    both as |box| * px and as the direct per-sample mean."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    first = samples[0]
-    for s in samples:
-        if s.box != first.box or s.n != first.n or s.variant != first.variant:
-            raise ValueError("samples mix boxes, thresholds or variants")
-    i = first.box.site_index(x)
-    ind = np.array([s.field[i] for s in samples], dtype=float)
-    counts = np.array([s.count() for s in samples], dtype=float)
-    return _px_lambda_from_arrays(ind, counts, first.box.n_sites)
-
-
 def estimate_px_lambda_census(census: Census, n: int, x: Site,
                               variant: str = "plain") -> PxLambdaEstimate:
     mask = census.qualifying(n, variant)
@@ -372,23 +310,13 @@ def _px_lambda_from_arrays(ind, counts, n_sites) -> PxLambdaEstimate:
                             lam_from_px - lam_direct, n)
 
 
-def theta_estimate(samples) -> float:
+def theta_estimate(census: Census) -> float:
     """Fraction of samples whose origin cluster reaches the box boundary
-    (finite-volume stand-in for the infinite-cluster density).
-
-    Accepts a list of ClusterSets (origin = box center) or a Census with
-    origin tracking.
-    """
-    if isinstance(samples, Census):
-        if samples.origin_touches is None:
-            raise ValueError("census was built without origin tracking")
-        return float(samples.origin_touches.mean())
-    sets = list(samples)
-    if not sets:
-        raise ValueError("no samples")
-    origin = sets[0].box.center
-    hits = sum(1 for cs in sets if cs.cluster_of(origin).touches_boundary)
-    return hits / len(sets)
+    (finite-volume stand-in for the infinite-cluster density), from a
+    census with origin tracking."""
+    if census.origin_touches is None:
+        raise ValueError("census was built without origin tracking")
+    return float(census.origin_touches.mean())
 
 
 # ---------------------------------------------------------------------------

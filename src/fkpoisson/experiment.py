@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chenstein, coupling, oracle, surgery as surgery_mod, wulff as wulff_mod
 from .census import (census_from_states, census_sampled, decay_rate,
-                     label_clusters, point_process, state_chunks)
+                     state_chunks)
 from .fk import (FREE, WIRED, BondConfig, FKParams, config_to_bytes,
                  label_sites, sample_states)
 from .lattice import Box, set_distance
@@ -133,6 +133,12 @@ def validate_config(subcommand: str, config: dict) -> dict:
               f"need a list of {d} ints, one per side")
     for key, (check, what) in _FIELDS.items():
         _need(out, key, check, what)
+    if subcommand == "chenstein":
+        # standard errors and the bootstrap need two samples
+        _need(out, "samples", _int(2), "need an int >= 2")
+    if subcommand == "coupling":
+        _need(out, "sides", lambda v: max(v) >= 2,
+              "need a side >= 2, for the central bond")
     out.setdefault("boundary", "free")
     out.setdefault("K", 5.0)
     return out
@@ -455,22 +461,30 @@ def _separation_bond_pairs(box: Box, separations):
 def _run_wulff(config, seed_seq, out_dir):
     box = _box_of(config)
     n = config["n"]
-    sets = [label_clusters(BondConfig(box, s))
-            for s in _replica_states(config, seed_seq)]
+    states = _replica_states(config, seed_seq)
+    sample, centers, sites, owner = wulff_mod.qualifying_clusters(
+        box, states, n, _params_of(config).boundary)
     cpu = config.get("cells_per_unit", wulff_mod.DEFAULT_CELLS_PER_UNIT)
     if "shape_side" in config:
         shape = wulff_mod.square_shape(config["shape_side"], cpu, box.d)
     else:
-        shape = wulff_mod.empirical_shape(sets, n, cpu, min_count=5)
+        try:
+            shape = wulff_mod.empirical_shape(sites, owner, centers, cpu,
+                                              min_count=5)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'shape_side': not given, and "
+                              f"the empirical shape has {exc}") from exc
     width = config.get("f_width", default_f_width(n))
     delta = config.get("delta", 0.1)
+    # sites come by sample, like the clusters
+    bounds = np.arange(len(states) + 1)
+    cluster_cut = np.searchsorted(sample, bounds)
+    site_cut = np.searchsorted(sample[owner], bounds)
     rows = []
-    for cs in sets:
-        pf = point_process(cs, n)
-        quals = [c for c in cs.clusters
-                 if not c.touches_boundary and c.size >= n]
-        diag = wulff_mod.symmetric_difference_stat(pf, quals, shape, n,
-                                                   width, delta)
+    for i in range(len(states)):
+        diag = wulff_mod.symmetric_difference_stat(
+            np.unique(centers[cluster_cut[i]:cluster_cut[i + 1]], axis=0),
+            sites[site_cut[i]:site_cut[i + 1]], shape, n, width, delta)
         rows.append({"volume": diag.volume, "centers": diag.center_count,
                      "event": diag.indicator})
     jsonl = os.path.join(out_dir, "wulff.jsonl")

@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .census import cluster_stats
+from .census import cluster_centers, cluster_stats
 from .fk import BondConfig, FKParams, ResourceCapError, label_sites
 from .lattice import Box, Site
 
@@ -107,7 +107,8 @@ def _cluster_tables(box: Box) -> ClusterTables:
                            np.empty((n_configs, s), np.uint8))
     for rows in _chunks(n_configs):
         labels, n = label_sites(box, _open_bonds(rows, box.n_bonds))
-        size, touches, center = cluster_stats(box, labels, n)
+        size, touches = cluster_stats(box, labels, n)
+        center = cluster_centers(box, labels, size)
         # labels come in order of each cluster's smallest site, so a site
         # is its cluster's smallest exactly where the running maximum of
         # its configuration's labels rises
@@ -151,15 +152,6 @@ def enumerate_measure(box: Box, params: FKParams,
     w = np.exp(logw - mx)
     z = w.sum()
     return ExactDistribution(box, params, w / z, float(mx + np.log(z)))
-
-
-def event_probability(dist: ExactDistribution, predicate) -> float:
-    """Probability of {config : predicate(config)}."""
-    total = 0.0
-    for i in range(dist.n_configs):
-        if predicate(dist.config_of(i)):
-            total += dist.probs[i]
-    return float(total)
 
 
 def sample_exact(dist: ExactDistribution, n_samples: int, seed=0) -> np.ndarray:
@@ -302,22 +294,6 @@ def exact_tv(law1: PatternLaw, law2: PatternLaw) -> float:
     keys = sorted(set(law1.table) | set(law2.table))
     return float(sum(abs(law1.table.get(k, 0.0) - law2.table.get(k, 0.0))
                      for k in keys))
-
-
-def tv_sup_form(law1: PatternLaw, law2: PatternLaw,
-                exhaustive_limit: int = 16) -> float:
-    """2 sup_A |P1(A) - P2(A)|, by exhaustive subset search when the joint
-    support is small and by the positive-part identity otherwise."""
-    keys = sorted(set(law1.table) | set(law2.table))
-    diff = np.array([law1.table.get(k, 0.0) - law2.table.get(k, 0.0)
-                     for k in keys])
-    if len(keys) <= exhaustive_limit:
-        best = 0.0
-        for mask in range(1 << len(keys)):
-            sel = (mask >> np.arange(len(keys))) & 1
-            best = max(best, abs(float(diff @ sel)))
-        return 2.0 * best
-    return 2.0 * float(np.maximum(diff, 0.0).sum())
 
 
 def exact_px_field(dist: ExactDistribution, n: int, variant: str = "plain",

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import Cluster, cluster_stats, label_clusters
+from .census import (Cluster, cluster_stats, configs_per_label_call,
+                     label_clusters)
 from .fk import (BondConfig, FKParams, ResourceCapError, finite_energy_floor,
                  label_sites, log_weight)
 from .lattice import Box, Site, l1, pair_sort_key, set_distance
@@ -203,15 +204,14 @@ def count_antecedents(target: BondConfig, n: int, K: float,
 
     found: set[bytes] = set()
     target_bytes = target.state.tobytes()
-    # assignments per labeling call: about 2^22 grid cells at most
-    per_call = max(1, (1 << 22) // (4 * box.n_sites))
+    per_call = configs_per_label_call(box)
     for ui, vi, touched in candidates:
         for first in range(0, 1 << len(touched), per_call):
             masks = np.arange(first, min(first + per_call, 1 << len(touched)))
             cands = np.repeat(target.state[None], len(masks), axis=0)
             cands[:, touched] = masks[:, None] >> np.arange(len(touched)) & 1
             labels, m = label_sites(box, cands)
-            size, touches, _ = cluster_stats(box, labels, m)
+            size, touches = cluster_stats(box, labels, m)
             lu, lv = labels[:, ui], labels[:, vi]
             ok = (lu != lv) & ~touches[lu] & ~touches[lv]
             for lab in (lu, lv):

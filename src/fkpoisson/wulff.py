@@ -12,15 +12,20 @@ singleton fattened by l rasterizes to a cube of side 2l + 1.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .census import Cluster, PointField
+from .census import cluster_centers, cluster_stats, configs_per_label_call
+from .fk import FREE, BoundaryCondition, label_sites
+from .lattice import Box
 
 DEFAULT_CELLS_PER_UNIT = 16
+# a raster cell whose centre is this close to a box edge counts as inside
+_EPS = 1e-9
 
 
 @dataclass
@@ -72,17 +77,11 @@ class ShapeMask:
         head += struct.pack(f"<{self.d}q", *self.lower_cells)
         head += struct.pack(f"<{self.d}q", *self.grid.shape)
         flat = self.grid.ravel()
-        runs = []
-        current, length = False, 0
-        for v in flat:
-            if bool(v) == current:
-                length += 1
-            else:
-                runs.append(length)
-                current, length = bool(v), 1
-        runs.append(length)
-        body = struct.pack(f"<I{len(runs)}Q", len(runs), *runs)
-        return head + body
+        edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        runs = np.diff(edges, prepend=0, append=flat.size)
+        if flat[0]:
+            runs = np.concatenate(([0], runs))
+        return head + struct.pack("<I", len(runs)) + runs.astype("<u8").tobytes()
 
     @staticmethod
     def from_bytes(buf: bytes) -> "ShapeMask":
@@ -114,13 +113,7 @@ class ShapeMask:
         if min(shape, default=0) < 1 or sum(runs) != size:
             raise ValueError(f"runs cover {sum(runs)} cells of a "
                              f"{'x'.join(map(str, shape))} grid")
-        flat = np.zeros(size, dtype=bool)
-        pos, val = 0, False
-        for r in runs:
-            if val:
-                flat[pos:pos + r] = True
-            pos += r
-            val = not val
+        flat = np.repeat(np.arange(n_runs) % 2 == 1, runs)
         return ShapeMask(cpu, tuple(lower), flat.reshape(shape))
 
 
@@ -146,12 +139,46 @@ def renormalize(shape: ShapeMask, theta: float) -> ShapeMask:
     lo = [int(math.floor(l * s)) for l in shape.lower_cells]
     hi = [int(math.ceil((l + n) * s)) for l, n in zip(shape.lower_cells,
                                                      shape.grid.shape)]
-    new = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=bool)
-    it = np.ndindex(*new.shape)
-    for idx in it:
-        center = [(l + i + 0.5) / cpu for l, i in zip(lo, idx)]
-        new[idx] = shape.contains_point([c / s for c in center])
-    return ShapeMask(cpu, tuple(lo), new)
+    # the old cell of each new cell centre, per axis (``contains_point``);
+    # centres outside the old grid read its padding, which is empty
+    idx = []
+    for l, h, old, size in zip(lo, hi, shape.lower_cells, shape.grid.shape):
+        centre = (np.arange(l, h) + 0.5) / cpu
+        j = np.floor(centre / s * cpu).astype(np.int64) - old
+        idx.append(np.where((j >= 0) & (j < size), j, size))
+    padded = np.pad(shape.grid, [(0, 1)] * shape.d)
+    return ShapeMask(cpu, tuple(lo), padded[np.ix_(*idx)])
+
+
+def _cells(a, b, cpu: int):
+    """Half-open index ranges [lo, hi) of the raster cells whose centres
+    lie in [a, b] up to ``_EPS`` (world coordinates, elementwise)."""
+    return (np.ceil(a * cpu - 0.5 - _EPS).astype(np.int64),
+            np.floor(b * cpu - 0.5 + _EPS).astype(np.int64) + 1)
+
+
+def _cover(shape: tuple, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many of the boxes lo[j] <= i < hi[j] ((boxes, rank) cell indices
+    into a grid of ``shape``, clipped to it) cover each cell: +-1 at the
+    corners of each nonempty box in a difference array, then a cumulative
+    sum along each axis."""
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, shape)
+    keep = (hi > lo).all(axis=1)
+    lo, hi = lo[keep], hi[keep]
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        np.add.at(diff, tuple(np.where(corner, hi, lo).T),
+                  (-1) ** sum(corner))
+    for k in range(len(shape)):
+        np.cumsum(diff, axis=k, out=diff)
+    return diff[tuple(slice(s) for s in shape)]
+
+
+def _site_boxes(sites: np.ndarray, n: int, width: int, cpu: int):
+    """Cell ranges of (1/n) * (the width-neighbourhood of each site's unit
+    cell): the cells whose centres c have |n c - y|_inf <= width + 1/2."""
+    r = (width + 0.5) / n
+    return _cells(sites / n - r, sites / n + r, cpu)
 
 
 def fatten(sites, width: int,
@@ -163,20 +190,11 @@ def fatten(sites, width: int,
         raise ValueError("width must be >= 0")
     if cells_per_unit % 2:
         raise ValueError("cells_per_unit must be even")
-    sites = list(sites)
-    d = len(sites[0])
-    cpu = cells_per_unit
-    half = cpu // 2
-    lo = [min(s[k] for s in sites) - width for k in range(d)]
-    hi = [max(s[k] for s in sites) + width for k in range(d)]
-    shape = tuple((h - l + 1) * cpu for l, h in zip(lo, hi))
-    grid = np.zeros(shape, dtype=bool)
-    for s in sites:
-        sl = tuple(slice((s[k] - width - lo[k]) * cpu,
-                         (s[k] + width + 1 - lo[k]) * cpu)
-                   for k in range(d))
-        grid[sl] = True
-    return ShapeMask(cpu, tuple(l * cpu - half for l in lo), grid)
+    lo, hi = _site_boxes(np.array(list(sites), dtype=np.int64), 1, width,
+                         cells_per_unit)
+    lower = lo.min(axis=0)
+    grid = _cover(tuple(hi.max(axis=0) - lower), lo - lower, hi - lower) > 0
+    return ShapeMask(cells_per_unit, tuple(lower.tolist()), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -232,102 +250,115 @@ class ShapeDiagnostic:
         return self.volume >= self.delta * self.center_count
 
 
-def symmetric_difference_stat(centers: PointField, clusters, shape: ShapeMask,
-                              n: int, width: int, delta: float) -> ShapeDiagnostic:
-    """Volume of (union of the shape translated to each center) symmetric-
-    difference (1/n times the union of fattened qualifying clusters).
+def symmetric_difference_stat(centers, sites, shape: ShapeMask, n: int,
+                              width: int, delta: float) -> ShapeDiagnostic:
+    """Volume of (union of the shape translated to each center x / n)
+    symmetric-difference (1/n times the union of fattened qualifying
+    clusters).
 
-    Clusters may stick out of the sampling box; their raster mass is kept.
+    ``centers`` is a (k, d) array of one sample's distinct mass centers and
+    ``sites`` an (m, d) array of the sites of its qualifying clusters.  The
+    shape moves by whole raster cells, to the cell nearest x / n along each
+    axis, halves rounded up.  Clusters may stick out of the sampling box;
+    their raster mass is kept.
     """
-    cpu = shape.cells_per_unit
-    d = shape.d
-    box = centers.box
-    center_sites = [box.sites[i] for i in np.flatnonzero(centers.field)]
-    site_sets = [c.sites if isinstance(c, Cluster) else c for c in clusters]
-
-    masks_a = []
-    for x in center_sites:
-        masks_a.append(ShapeMask(
-            cpu, tuple(l + xi * cpu for l, xi in zip(shape.lower_cells, x)),
-            shape.grid))
-    masks_b = [_scaled_fattened(s, n, width, cpu) for s in site_sets]
-    all_masks = masks_a + masks_b
-    if not all_masks:
+    cpu, d = shape.cells_per_unit, shape.d
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, d)
+    sites = np.asarray(sites, dtype=np.int64).reshape(-1, d)
+    if not len(centers) and not len(sites):
         return ShapeDiagnostic(n, 0.0, 0, delta, cpu)
-    cpu2, lo, shp = _common_window(all_masks)
-    ga = np.zeros(shp, dtype=bool)
-    gb = np.zeros(shp, dtype=bool)
-    for m in masks_a:
-        _paint(ga, lo, m)
-    for m in masks_b:
-        _paint(gb, lo, m)
+    lo_b, hi_b = _site_boxes(sites, n, width, cpu)
+    shift = (2 * centers * cpu + n) // (2 * n)
+    lo_a = np.array(shape.lower_cells) + shift
+    lower = np.concatenate([lo_a, lo_b]).min(axis=0)
+    window = tuple(np.concatenate([lo_a + shape.grid.shape, hi_b]).max(axis=0)
+                   - lower)
+    gb = _cover(window, lo_b - lower, hi_b - lower) > 0
+    ga = np.zeros(window, dtype=bool)
+    for offset in shift.tolist():
+        _paint(ga, lower, shape, offset)
     vol = float((ga ^ gb).sum()) / cpu ** d
-    return ShapeDiagnostic(n, vol, len(center_sites), delta, cpu)
+    return ShapeDiagnostic(n, vol, len(centers), delta, cpu)
 
 
-def _scaled_fattened(sites, n: int, width: int, cpu: int) -> ShapeMask:
-    """Raster of (1/n) * (width-neighborhood of the cluster cells): cell
-    centers c with |n c - y|_inf <= width + 1/2 for some site y."""
-    sites = list(sites)
-    d = len(sites[0])
-    r = (width + 0.5) / n
-    lo_cell = [int(math.floor((min(s[k] for s in sites) / n - r) * cpu))
-               for k in range(d)]
-    hi_cell = [int(math.ceil((max(s[k] for s in sites) / n + r) * cpu))
-               for k in range(d)]
-    grid = np.zeros(tuple(h - l for l, h in zip(lo_cell, hi_cell)), dtype=bool)
-    eps = 1e-9
-    for y in sites:
-        sl = []
-        for k in range(d):
-            a = (y[k] / n - r) * cpu - 0.5
-            b = (y[k] / n + r) * cpu - 0.5
-            i0 = max(int(math.ceil(a - eps)) - lo_cell[k], 0)
-            i1 = min(int(math.floor(b + eps)) - lo_cell[k], grid.shape[k] - 1)
-            sl.append(slice(i0, i1 + 1))
-        grid[tuple(sl)] = True
-    return ShapeMask(cpu, tuple(lo_cell), grid)
-
-
-def empirical_shape(cluster_sets, n: int,
+def empirical_shape(sites, owner, centers,
                     cells_per_unit: int = DEFAULT_CELLS_PER_UNIT,
                     min_count: int = 20) -> ShapeMask:
     """Candidate droplet shape: average occupancy of qualifying clusters,
     re-centered at their mass centers and scaled to unit volume
-    (coordinates multiplied by |C|^(-1/d)), thresholded at 1/2."""
-    clusters = []
-    for cs in cluster_sets:
-        for c in cs.clusters:
-            if not c.touches_boundary and c.size >= n:
-                clusters.append(c)
-    if len(clusters) < min_count:
-        raise ValueError(
-            f"only {len(clusters)} qualifying clusters; need {min_count}")
-    d = len(next(iter(clusters[0].sites)))
+    (coordinates multiplied by |C|^(-1/d)), thresholded at 1/2.
+
+    ``sites`` is an (m, d) array of the clusters' sites, ``owner`` the
+    index of each site's cluster and ``centers`` a (clusters, d) array of
+    their mass centers.  Cells that several sites of one cluster cover
+    count once for it."""
+    sites = np.asarray(sites, dtype=np.int64)
+    owner = np.asarray(owner, dtype=np.int64)
+    centers = np.asarray(centers, dtype=np.int64)
+    k = len(centers)
+    if k < min_count:
+        raise ValueError(f"only {k} qualifying clusters; need {min_count}")
+    d = centers.shape[1]
     cpu = cells_per_unit
-    reach = 0.0
-    for c in clusters:
-        mc = c.mass_center
-        sigma = c.size ** (-1.0 / d)
-        for s in c.sites:
-            for k in range(d):
-                reach = max(reach, sigma * (abs(s[k] - mc[k]) + 0.5))
+    size = np.bincount(owner, minlength=k)
+    # Python's pow, not numpy's: the two differ in the last bit for some
+    # sizes, which moves cell edges that fall on cell centres
+    sigma =np.array([s ** (-1.0 / d) for s in size.tolist()])[owner, None]
+    rel = sites - centers[owner]
+    reach = float((sigma * (np.abs(rel) + 0.5)).max())
     half = int(math.ceil(reach * cpu)) + 1
-    acc = np.zeros((2 * half,) * d)
-    eps = 1e-9
-    for c in clusters:
-        mc = c.mass_center
-        sigma = c.size ** (-1.0 / d)
-        ind = np.zeros_like(acc, dtype=bool)
-        for s in c.sites:
-            sl = []
-            for k in range(d):
-                a = sigma * (s[k] - mc[k] - 0.5) * cpu - 0.5
-                b = sigma * (s[k] - mc[k] + 0.5) * cpu - 0.5
-                i0 = max(int(math.ceil(a - eps)) + half, 0)
-                i1 = min(int(math.floor(b + eps)) + half, acc.shape[k] - 1)
-                sl.append(slice(i0, i1 + 1))
-            ind[tuple(sl)] = True
-        acc += ind
-    occ = acc / len(clusters)
-    return ShapeMask(cpu, (-half,) * d, occ >= 0.5)
+    # Along an axis, the cells of relative coordinate t and those of t + 1
+    # share at most one tie cell.  Split the axis into disjoint pieces with
+    # a doubled coordinate w: the cells of t alone (w = 2t) and the tie of
+    # t and t + 1 (w = 2t + 1).  A cluster covers the pieces with
+    # |w - 2s|_inf <= 1 for some site s; painting each distinct (cluster,
+    # nonempty piece) once counts each cell once per cluster covering it.
+    lo_w, hi_w = sigma * (rel - 0.5), sigma * (rel + 0.5)
+    first, end = _cells(lo_w, hi_w, cpu)
+    next_first, prev_end = _cells(hi_w, lo_w, cpu)
+    # per step -1, 0, +1 along an axis: the tie below, the cells of s
+    # alone, the tie above
+    los = np.stack([first, np.maximum(first, prev_end), next_first])
+    his = np.stack([prev_end, np.minimum(end, next_first), end])
+    axes = np.arange(d)
+    pieces, lo, hi = [], [], []
+    for step in itertools.product((-1, 0, 1), repeat=d):
+        pick = np.add(step, 1)
+        a, b = los[pick, :, axes].T, his[pick, :, axes].T
+        ok = (b > a).all(axis=1)
+        pieces.append(np.column_stack([owner[ok], 2 * rel[ok] + step]))
+        lo.append(a[ok])
+        hi.append(b[ok])
+    once = np.unique(np.concatenate(pieces), axis=0, return_index=True)[1]
+    acc = _cover((2 * half,) * d, np.concatenate(lo)[once] + half,
+                 np.concatenate(hi)[once] + half)
+    return ShapeMask(cpu, (-half,) * d, acc / k >= 0.5)
+
+
+def qualifying_clusters(box: Box, states: np.ndarray, n: int,
+                        boundary: BoundaryCondition = FREE):
+    """The finite clusters of size >= n of a (samples, n_bonds) state
+    array, labeled under ``boundary`` in ``label_sites`` batches.
+
+    Returns ``(sample, centers, sites, owner)``: per cluster, in label
+    order, its sample and its floor mass center; per site of those
+    clusters, by sample and then site, its coordinates and the index of
+    its cluster.
+    """
+    per_call = configs_per_label_call(box)
+    parts, found = [], 0
+    for first in range(0, len(states), per_call):
+        labels, m = label_sites(box, states[first:first + per_call], boundary)
+        size, touches = cluster_stats(box, labels, m)
+        ok = ~touches & (size >= n)
+        # each sample's labels are one range, starting at its first site's
+        sample = np.repeat(np.arange(first, first + len(labels)),
+                           np.diff(labels[:, 0], append=m))
+        index = np.cumsum(ok) - 1 + found
+        rows, cols = np.nonzero(ok[labels])
+        parts.append((sample[ok],
+                      cluster_centers(box, labels, size)[ok] + box.lower,
+                      box.offsets[cols] + box.lower,
+                      index[labels[rows, cols]]))
+        found += int(ok.sum())
+    return tuple(np.concatenate(col) for col in zip(*parts))

@@ -5,17 +5,22 @@ derived from tuples of sites, pair statistics over cluster sets, the
 site-by-site stratified b3, the replicate-by-replicate Poisson
 bootstrap, and the exact pair matrix, b1/b2, b3 of a pattern law,
 product law and conjecture 7 taken a pair, a site or a pattern at a
-time, the coupling's graph searches over site tuples, and the antecedent
-count that labels one candidate assignment at a time.  They are
-deliberately plain and slow."""
+time, the coupling's graph searches over site tuples, the antecedent
+count that labels one candidate assignment at a time, the per-sample
+point fields of mass centers with their estimators, the shape statistics
+painted cluster by cluster and site by site, and the sup form of the
+total variation.  They are deliberately plain and slow."""
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from fkpoisson import coupling, oracle, surgery
-from fkpoisson.census import Cluster, ClusterSet, label_clusters
+from fkpoisson import coupling, oracle, surgery, wulff
+from fkpoisson.census import (Cluster, ClusterSet, _px_lambda_from_arrays,
+                              label_clusters)
 from fkpoisson.chenstein import (B3Estimate, OffsetStat, PairStats,
                                  neighborhood, neighborhood_offsets)
 from fkpoisson.fk import FREE, BondConfig, ResourceCapError
@@ -563,3 +568,233 @@ def count_antecedents_loop(target: BondConfig, n: int, K: float) -> int:
             if res.new_config.state.tobytes() == target_bytes:
                 found.add(key)
     return len(found)
+
+
+@dataclass
+class PointField:
+    """Indicator field over the box: 1 exactly at mass centers of
+    qualifying clusters.
+
+    variant "plain": clusters with n <= |C|, finite.
+    variant "truncated": clusters with n <= |C| < n^2/4, finite.
+    """
+
+    box: Box
+    n: int
+    variant: str
+    field: np.ndarray  # bool, len == n_sites, row-major
+    collisions: int = 0
+
+    def indicator(self, x) -> bool:
+        return bool(self.field[self.box.site_index(x)])
+
+    def count(self) -> int:
+        return int(self.field.sum())
+
+
+def _qualifies(size: int, n: int, variant: str) -> bool:
+    if variant == "plain":
+        return size >= n
+    if variant == "truncated":
+        return n <= size < n * n / 4.0
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def point_process(cs: ClusterSet, n: int, variant: str = "plain") -> PointField:
+    """Mark the mass center of every finite qualifying cluster; two
+    qualifying clusters sharing a mass center mark it once, and the
+    collision is counted."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    box = cs.box
+    fld = np.zeros(box.n_sites, dtype=bool)
+    collisions = 0
+    for c in cs.clusters:
+        if c.touches_boundary or not _qualifies(c.size, n, variant):
+            continue
+        i = box.site_index(c.mass_center)
+        if fld[i]:
+            collisions += 1
+        fld[i] = True
+    return PointField(box, n, variant, fld, collisions)
+
+
+def estimate_px_lambda(samples: list, x):
+    """``census.estimate_px_lambda_census`` over a list of PointFields."""
+    if len(samples) < 2:
+        raise ValueError("need at least 2 samples")
+    first = samples[0]
+    for s in samples:
+        if s.box != first.box or s.n != first.n or s.variant != first.variant:
+            raise ValueError("samples mix boxes, thresholds or variants")
+    i = first.box.site_index(x)
+    ind = np.array([s.field[i] for s in samples], dtype=float)
+    counts = np.array([s.count() for s in samples], dtype=float)
+    return _px_lambda_from_arrays(ind, counts, first.box.n_sites)
+
+
+def theta_estimate_sets(sets) -> float:
+    """``census.theta_estimate`` over ClusterSets, origin = box center."""
+    sets = list(sets)
+    if not sets:
+        raise ValueError("no samples")
+    origin = sets[0].box.center
+    hits = sum(1 for cs in sets if cs.cluster_of(origin).touches_boundary)
+    return hits / len(sets)
+
+
+def tv_sup_form(law1, law2, exhaustive_limit: int = 16) -> float:
+    """2 sup_A |P1(A) - P2(A)|, by exhaustive subset search when the joint
+    support is small and by the positive-part identity otherwise."""
+    keys = sorted(set(law1.table) | set(law2.table))
+    diff = np.array([law1.table.get(k, 0.0) - law2.table.get(k, 0.0)
+                     for k in keys])
+    if len(keys) <= exhaustive_limit:
+        best = 0.0
+        for mask in range(1 << len(keys)):
+            sel = (mask >> np.arange(len(keys))) & 1
+            best = max(best, abs(float(diff @ sel)))
+        return 2.0 * best
+    return 2.0 * float(np.maximum(diff, 0.0).sum())
+
+
+def scaled_fattened_loop(sites, n: int, width: int, cpu: int):
+    """Raster of (1/n) * (width-neighborhood of the cluster cells): cell
+    centers c with |n c - y|_inf <= width + 1/2 for some site y."""
+    sites = list(sites)
+    d = len(sites[0])
+    r = (width + 0.5) / n
+    lo_cell = [int(math.floor((min(s[k] for s in sites) / n - r) * cpu))
+               for k in range(d)]
+    hi_cell = [int(math.ceil((max(s[k] for s in sites) / n + r) * cpu))
+               for k in range(d)]
+    grid = np.zeros(tuple(h - l for l, h in zip(lo_cell, hi_cell)), dtype=bool)
+    eps = 1e-9
+    for y in sites:
+        sl = []
+        for k in range(d):
+            a = (y[k] / n - r) * cpu - 0.5
+            b = (y[k] / n + r) * cpu - 0.5
+            i0 = max(int(math.ceil(a - eps)) - lo_cell[k], 0)
+            i1 = min(int(math.floor(b + eps)) - lo_cell[k], grid.shape[k] - 1)
+            sl.append(slice(i0, i1 + 1))
+        grid[tuple(sl)] = True
+    return wulff.ShapeMask(cpu, tuple(lo_cell), grid)
+
+
+def symmetric_difference_stat_loop(centers: PointField, clusters, shape,
+                                   n: int, width: int, delta: float):
+    """``wulff.symmetric_difference_stat`` from a PointField and the
+    qualifying Clusters, one mask per center and per cluster; the shape
+    sits at the raster cell nearest x / n (ties upward)."""
+    cpu = shape.cells_per_unit
+    d = shape.d
+    box = centers.box
+    center_sites = [box.sites[i] for i in np.flatnonzero(centers.field)]
+    masks_a = [wulff.ShapeMask(
+        cpu, tuple(l + (2 * xi * cpu + n) // (2 * n)
+                   for l, xi in zip(shape.lower_cells, x)), shape.grid)
+        for x in center_sites]
+    masks_b = [scaled_fattened_loop(c.sites, n, width, cpu)
+               for c in clusters]
+    all_masks = masks_a + masks_b
+    if not all_masks:
+        return wulff.ShapeDiagnostic(n, 0.0, 0, delta, cpu)
+    _, lo, shp = wulff._common_window(all_masks)
+    ga = np.zeros(shp, dtype=bool)
+    gb = np.zeros(shp, dtype=bool)
+    for m in masks_a:
+        wulff._paint(ga, lo, m)
+    for m in masks_b:
+        wulff._paint(gb, lo, m)
+    vol = float((ga ^ gb).sum()) / cpu ** d
+    return wulff.ShapeDiagnostic(n, vol, len(center_sites), delta, cpu)
+
+
+def empirical_shape_loop(cluster_sets, n: int, cells_per_unit: int = 16,
+                         min_count: int = 20):
+    """``wulff.empirical_shape`` over ClusterSets, painting each cluster's
+    indicator site by site."""
+    clusters = []
+    for cs in cluster_sets:
+        for c in cs.clusters:
+            if not c.touches_boundary and c.size >= n:
+                clusters.append(c)
+    if len(clusters) < min_count:
+        raise ValueError(
+            f"only {len(clusters)} qualifying clusters; need {min_count}")
+    d = len(next(iter(clusters[0].sites)))
+    cpu = cells_per_unit
+    reach = 0.0
+    for c in clusters:
+        mc = c.mass_center
+        sigma = c.size ** (-1.0 / d)
+        for s in c.sites:
+            for k in range(d):
+                reach = max(reach, sigma * (abs(s[k] - mc[k]) + 0.5))
+    half = int(math.ceil(reach * cpu)) + 1
+    acc = np.zeros((2 * half,) * d)
+    eps = 1e-9
+    for c in clusters:
+        mc = c.mass_center
+        sigma = c.size ** (-1.0 / d)
+        ind = np.zeros_like(acc, dtype=bool)
+        for s in c.sites:
+            sl = []
+            for k in range(d):
+                a = sigma * (s[k] - mc[k] - 0.5) * cpu - 0.5
+                b = sigma * (s[k] - mc[k] + 0.5) * cpu - 0.5
+                i0 = max(int(math.ceil(a - eps)) + half, 0)
+                i1 = min(int(math.floor(b + eps)) + half, acc.shape[k] - 1)
+                sl.append(slice(i0, i1 + 1))
+            ind[tuple(sl)] = True
+        acc += ind
+    occ = acc / len(clusters)
+    return wulff.ShapeMask(cpu, (-half,) * d, occ >= 0.5)
+
+
+def wulff_rows_loop(box: Box, states, n: int, shape, width: int,
+                    delta: float) -> list:
+    """The rows of ``wulff.jsonl``, one ClusterSet and PointField per
+    sample, clustered under the free boundary."""
+    rows = []
+    for state in states:
+        cs = label_clusters(BondConfig(box, state))
+        quals = [c for c in cs.clusters
+                 if not c.touches_boundary and c.size >= n]
+        diag = symmetric_difference_stat_loop(point_process(cs, n), quals,
+                                              shape, n, width, delta)
+        rows.append({"volume": diag.volume, "centers": diag.center_count,
+                     "event": diag.indicator})
+    return rows
+
+
+def shape_to_bytes_loop(mask) -> bytes:
+    """``ShapeMask.to_bytes``, run lengths counted cell by cell."""
+    head = struct.pack("<BI", mask.d, mask.cells_per_unit)
+    head += struct.pack(f"<{mask.d}q", *mask.lower_cells)
+    head += struct.pack(f"<{mask.d}q", *mask.grid.shape)
+    runs = []
+    current, length = False, 0
+    for v in mask.grid.ravel():
+        if bool(v) == current:
+            length += 1
+        else:
+            runs.append(length)
+            current, length = bool(v), 1
+    runs.append(length)
+    return head + struct.pack(f"<I{len(runs)}Q", len(runs), *runs)
+
+
+def renormalize_loop(shape, theta: float):
+    """``wulff.renormalize``, one ``contains_point`` per new cell."""
+    s = (theta * shape.volume) ** (-1.0 / shape.d)
+    cpu = shape.cells_per_unit
+    lo = [int(math.floor(l * s)) for l in shape.lower_cells]
+    hi = [int(math.ceil((l + n) * s)) for l, n in zip(shape.lower_cells,
+                                                     shape.grid.shape)]
+    new = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=bool)
+    for idx in np.ndindex(*new.shape):
+        center = [(l + i + 0.5) / cpu for l, i in zip(lo, idx)]
+        new[idx] = shape.contains_point([c / s for c in center])
+    return wulff.ShapeMask(cpu, tuple(lo), new)

@@ -23,8 +23,8 @@ from fkpoisson.lattice import Box, l1
 from fkpoisson.surgery import (antecedent_bound, count_antecedents,
                                random_close_pairs, transform,
                                weight_ratio_check)
-from fkpoisson.wulff import square_shape, symmetric_difference_stat
-from fkpoisson.census import point_process
+from fkpoisson.wulff import (qualifying_clusters, square_shape,
+                             symmetric_difference_stat)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -376,16 +376,13 @@ def test_criterion_11_shape_self_consistency():
     for i, (a, b) in enumerate(box.bonds):
         if a in inside_set and b in inside_set:
             state[i] = 1
-    cs = label_clusters(BondConfig(box, state))
-    pf = point_process(cs, n)
-    quals = [c for c in cs.clusters
-             if not c.touches_boundary and c.size >= n]
-    diag = symmetric_difference_stat(pf, quals, shape, n, 0, delta=1.0)
+    _, centers, sites, _ = qualifying_clusters(box, state[None], n)
+    diag = symmetric_difference_stat(centers, sites, shape, n, 0, delta=1.0)
     perimeter = 4 * 0.5
     tol = 2 * (1.0 / cpu) * perimeter
     vol_ok = diag.volume < tol
     indicator_ok = all(
-        not symmetric_difference_stat(pf, quals, shape, n, 0,
+        not symmetric_difference_stat(centers, sites, shape, n, 0,
                                       delta=d).indicator
         for d in (tol * 1.01, 0.5, 1.0))
     report(11, vol_ok and indicator_ok,

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from fkpoisson.census import (census_from_states, census_sampled, decay_rate,
-                              estimate_px_lambda, estimate_px_lambda_census,
-                              label_clusters, mass_center, point_process,
-                              theta_estimate)
+                              estimate_px_lambda_census, label_clusters,
+                              mass_center, theta_estimate)
 from fkpoisson.fk import (FREE, WIRED, BondConfig, BoundaryCondition,
                          FKParams, sample_states)
 from fkpoisson.lattice import Box
-from reference_labelers import census_rows_bfs, label_clusters_bfs
+from reference_labelers import (census_rows_bfs, estimate_px_lambda,
+                                label_clusters_bfs, point_process,
+                                theta_estimate_sets)
 
 
 def random_config(box, p, seed):
@@ -85,80 +86,75 @@ def test_translation_equivariance():
 
 def test_point_process_examples():
     box = Box.cube(2, 4)
-    cs = label_clusters(BondConfig.all_closed(box))
-    assert point_process(cs, n=99).count() == 0
+    closed = np.zeros((1, box.n_bonds), dtype=np.uint8)
+    assert census_from_states(box, closed).counts_per_sample(99)[0] == 0
 
     # single qualifying cluster marks exactly its center
     chain = Box((0,), (6,))
     state = np.zeros(chain.n_bonds, dtype=np.uint8)
     state[1] = state[2] = 1  # cluster {1,2,3}
-    cs = label_clusters(BondConfig(chain, state))
-    pf = point_process(cs, n=2)
-    assert pf.count() == 1
-    assert pf.indicator((2,))
+    cen = census_from_states(chain, state[None])
+    assert cen.counts_per_sample(2)[0] == 1
+    assert cen.px_field(2).tolist() == [0, 0, 1, 0, 0, 0]
 
 
 def test_truncated_below_plain():
     chain = Box((0,), (12,))
     rng = np.random.default_rng(5)
-    for s in range(40):
-        cfg = BondConfig(chain, (rng.random(chain.n_bonds) < 0.7
-                                 ).astype(np.uint8))
-        cs = label_clusters(cfg)
-        plain = point_process(cs, 2, "plain").field
-        trunc = point_process(cs, 2, "truncated").field
-        assert np.all(trunc <= plain)
+    states = (rng.random((40, chain.n_bonds)) < 0.7).astype(np.uint8)
+    for state in states:
+        cen = census_from_states(chain, state[None])
+        assert np.all(cen.px_field(2, "truncated") <= cen.px_field(2, "plain"))
     # construct a cluster of size >= n^2/4 deterministically: size 4, n = 2
     state = np.zeros(chain.n_bonds, dtype=np.uint8)
     state[1] = state[2] = state[3] = 1  # cluster {1,2,3,4}, size 4 >= 1
-    cs = label_clusters(BondConfig(chain, state))
-    assert point_process(cs, 2, "plain").count() == 1
-    assert point_process(cs, 2, "truncated").count() == 0
+    cen = census_from_states(chain, state[None])
+    assert cen.counts_per_sample(2, "plain")[0] == 1
+    assert cen.counts_per_sample(2, "truncated")[0] == 0
 
 
 def test_point_process_collision_counted_once():
-    # two clusters sharing a mass center: rows 0 and 2 of a 3x5 box
+    # a ring of 8 sites and the singleton it encloses share a mass center:
+    # the indicator X(x) counts it once
     box = Box.cube(2, 5)
     state = np.zeros(box.n_bonds, dtype=np.uint8)
-    def open_bond(a, b):
-        state[box.bond_index[(a, b)]] = 1
-    for j in range(1, 3):
-        open_bond((1, j), (1, j + 1))
-        open_bond((3, j), (3, j + 1))
-    cfg = BondConfig(box, state)
-    cs = label_clusters(cfg)
-    pf = point_process(cs, n=3)
-    # centers: (1,2) and (3,2) distinct here; force a collision on a chain
+    ring = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1)]
+    for a, b in zip(ring, ring[1:]):
+        state[box.bond_index[tuple(sorted((a, b)))]] = 1
+    cen = census_from_states(box, np.vstack([state, state]))
+    est = estimate_px_lambda_census(cen, 1, (2, 2))
+    assert est.px == 1.0
+    assert point_process(label_clusters(BondConfig(box, state)), 1
+                         ).collisions == 1
+    # distinct centers on a chain are no collision
     chain = Box((0,), (9,))
     st = np.zeros(chain.n_bonds, dtype=np.uint8)
     st[1] = 1   # {1,2} center 1
     st[3] = 1   # {3,4} center 3
-    cs2 = label_clusters(BondConfig(chain, st))
-    pf2 = point_process(cs2, n=2)
-    assert pf2.count() == 2 and pf2.collisions == 0
+    cen2 = census_from_states(chain, st[None])
+    assert cen2.counts_per_sample(2)[0] == 2
+    assert cen2.px_field(2).max() == 1.0
 
 
 def test_estimate_px_lambda():
     chain = Box((0,), (6,))
-    fields = []
-    for s in range(100):
-        cfg = random_config(chain, 0.5, s)
-        fields.append(point_process(label_clusters(cfg), 2))
-    est = estimate_px_lambda(fields, (2,))
+    states = np.array([random_config(chain, 0.5, s).state
+                       for s in range(100)])
+    est = estimate_px_lambda_census(census_from_states(chain, states), 2, (2,))
+    fields = [point_process(label_clusters(BondConfig(chain, state)), 2)
+              for state in states]
     direct = np.mean([f.indicator((2,)) for f in fields])
     assert est.px == pytest.approx(direct)
     assert est.lam_from_px == pytest.approx(6 * direct)
     assert est.lam_direct == pytest.approx(
         np.mean([f.count() for f in fields]))
-    with pytest.raises(ValueError):
-        estimate_px_lambda(fields[:1], (2,))
+    assert est == estimate_px_lambda(fields, (2,))
 
 
 def test_estimate_px_all_zero():
     chain = Box((0,), (4,))
-    fields = [point_process(label_clusters(BondConfig.all_closed(chain)), 2)
-              for _ in range(5)]
-    est = estimate_px_lambda(fields, (1,))
+    cen = census_from_states(chain, np.zeros((5, chain.n_bonds), np.uint8))
+    est = estimate_px_lambda_census(cen, 2, (1,))
     assert est.px == 0.0 and est.lam_direct == 0.0
 
 
@@ -287,10 +283,16 @@ def test_census_estimators_match_pointfields():
 
 def test_theta_trivial():
     box = Box.cube(2, 4)
-    allo = [label_clusters(BondConfig.all_open(box)) for _ in range(3)]
-    assert theta_estimate(allo) == 1.0
-    allc = [label_clusters(BondConfig.all_closed(box)) for _ in range(3)]
-    assert theta_estimate(allc) == 0.0
+    for bit, theta in ((1, 1.0), (0, 0.0)):
+        states = np.full((3, box.n_bonds), bit, dtype=np.uint8)
+        cen = census_from_states(box, states, origin=box.center)
+        assert theta_estimate(cen) == theta
+    states = q1_draws_2d(box, 0.5, 50, 4)
+    cen = census_from_states(box, states, origin=box.center)
+    assert theta_estimate(cen) == theta_estimate_sets(
+        [label_clusters(BondConfig(box, s)) for s in states])
+    with pytest.raises(ValueError, match="origin tracking"):
+        theta_estimate(census_from_states(box, states))
 
 
 def test_decay_degenerate_p1():

@@ -164,6 +164,9 @@ _WULFF = {"sides": [4, 4], "p": 0.5, "q": 1.0, "samples": 5, "n": 2}
                  "count_antecedents": 1}, "count_antecedents"),
     ("decay", {"p": 0.5, "q": 1.0, "n_schedule": [2], "samples": 5,
                "box_factor": 0}, "box_factor"),
+    ("chenstein", dict(_CHENSTEIN, samples=1), "samples"),
+    ("coupling", dict(_COUPLING, sides=[1, 1]), "sides"),
+    ("coupling", dict(_COUPLING, sides=[1]), "sides"),
 ])
 def test_cli_rejects_bad_field(tmp_path, capsys, subcommand, config, field):
     cfg_path = tmp_path / "cfg.json"
@@ -173,6 +176,21 @@ def test_cli_rejects_bad_field(tmp_path, capsys, subcommand, config, field):
     assert code == 2
     assert f"config: config field {field!r}:" in capsys.readouterr().err
     assert not (tmp_path / "o" / "rep000").exists()
+
+
+def test_cli_wulff_without_shape_side_needs_qualifying_clusters(tmp_path,
+                                                                capsys):
+    # wired and supercritical: every large cluster touches the boundary
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"sides": [12, 12], "p": 0.7, "q": 2.0, "samples": 5, "n": 5,
+         "boundary": "wired", "burn_in": 5}))
+    code = main(["wulff", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config: config field 'shape_side':" in err
+    assert "only 0 qualifying clusters" in err
 
 
 def test_cli_resource_cap_exit_3(tmp_path):

@@ -112,11 +112,14 @@ def test_site_components_match_graph_search(box):
 
 
 def test_ndimage_label_is_called_only_in_fk():
-    """One labeler: every labeling in the package goes through fk."""
+    """One labeler: every labeling in the package goes through fk, and
+    the per-configuration ClusterSet view serves the surgery only."""
     package = Path(fkpoisson.__file__).parent
-    callers = sorted(p.name for p in package.glob("*.py")
-                     if "ndimage.label(" in p.read_text())
-    assert callers == ["fk.py"]
+    for call, modules in (("ndimage.label(", ["fk.py"]),
+                          ("label_clusters(", ["census.py", "surgery.py"])):
+        callers = sorted(p.name for p in package.glob("*.py")
+                         if call in p.read_text())
+        assert callers == modules, call
 
 
 def test_partition_validation():
