@@ -328,27 +328,37 @@ def _b3_of_law(law: "oracle.PatternLaw", n: int, side: int | None) -> float:
 
     Sums run in the order of a loop over the sites and, per site, over the
     patterns in table order: the outside patterns are grouped in order of
-    first appearance, and each group adds its patterns in table order."""
+    first appearance, and each group adds its patterns in table order.
+    Every site is reduced in one pass: a (site, pattern) entry is coded
+    by the site and the pattern's bits outside the site's dependence box,
+    and each site's sums are cumulative sums along its row, padded with
+    0.0, whose addition is exact."""
     probs = np.fromiter(law.table.values(), float, len(law.table))
     keys = np.frombuffer(b"".join(law.table), dtype=np.uint8)
     fields = np.unpackbits(keys.reshape(len(probs), -1), axis=1,
                            count=law.n_sites).astype(bool)
-    per_site = []
-    for xi, outside in enumerate(_outside_sites(law.box, n, side)):
-        at_x = fields[:, xi]
-        px = oracle._ordered_sum(probs[at_x])
-        codes = fields[:, outside] @ (1 << np.arange(len(outside),
-                                                     dtype=np.int64))
-        _, first, inv = np.unique(codes, return_index=True,
-                                  return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        group = rank[inv]
-        g0, g1 = np.zeros(len(first)), np.zeros(len(first))
-        np.add.at(g0, group, probs)
-        np.add.at(g1, group, np.where(at_x, probs, 0.0))
-        per_site.append(oracle._ordered_sum(np.abs(g1 - px * g0)))
-    return oracle._ordered_sum(np.array(per_site))
+    k, m = law.n_sites, len(probs)
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    outside = np.where(_near(law.box, n, side), 0, bits)
+    codes = outside @ fields.T.astype(np.int64) \
+        + (np.arange(k, dtype=np.int64) << k)[:, None]
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    # the groups site by site, each site's in order of first appearance
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    group = rank[inv.reshape(-1)]
+    at_x = np.where(fields.T, probs, 0.0)
+    g0, g1 = np.zeros(len(first)), np.zeros(len(first))
+    np.add.at(g0, group, np.broadcast_to(probs, (k, m)).reshape(-1))
+    np.add.at(g1, group, at_x.reshape(-1))
+    px = oracle._row_sums(at_x)
+    site = first[order] // m
+    value = np.abs(g1 - px[site] * g0)
+    start = np.searchsorted(site, np.arange(k))
+    rows = np.zeros((k, int(np.bincount(site, minlength=k).max())))
+    rows[site, np.arange(len(site)) - start[site]] = value
+    return oracle._ordered_sum(oracle._row_sums(rows))
 
 
 def field_stack(census: Census, n: int, variant: str = "plain") -> np.ndarray:

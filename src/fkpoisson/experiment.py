@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -140,7 +141,8 @@ def validate_config(subcommand: str, config: dict) -> dict:
         _need(out, "sides", lambda v: max(v) >= 2,
               "need a side >= 2, for the central bond")
     out.setdefault("boundary", "free")
-    out.setdefault("K", 5.0)
+    if "K" in optional:
+        out.setdefault("K", 5.0)
     return out
 
 
@@ -334,7 +336,6 @@ def _run_oracle(config, seed_seq, out_dir):
             for r in oracle.conjecture7_rows(dist, n, surrogate)]
     doc = {
         "config_hash": config_hash(config),
-        "distribution": dist.to_table(),
         "log_z": dist.log_z,
         "bound_instance": {
             "b1": inst.b1, "b2": inst.b2, "b3": inst.b3,
@@ -344,8 +345,24 @@ def _run_oracle(config, seed_seq, out_dir):
         "conjecture7": conj,
     }
     path = os.path.join(out_dir, "oracle.json")
-    _write_json(path, doc)
+    _write_json(path, doc, ("distribution", _probability_table(dist.probs)))
     return [path], None
+
+
+def _probability_table(probs: np.ndarray):
+    """The JSON text of ``ExactDistribution.to_table()``, in pieces of up
+    to 2^16 rows.  A probability is fixed by the open-bond and cluster
+    counts, so a piece has few distinct values: each is formatted once,
+    by its ``repr``, as ``json.dumps`` writes a float."""
+    yield "["
+    for start in range(0, len(probs), 1 << 16):
+        values, which = np.unique(probs[start:start + (1 << 16)],
+                                  return_inverse=True)
+        text = [repr(v) for v in values.tolist()]
+        yield (", " if start else "") + ", ".join([
+            f'{{"config": {i}, "probability": {text[j]}}}'
+            for i, j in enumerate(which.tolist(), start)])
+    yield "]"
 
 
 def _run_surgery(config, seed_seq, out_dir):
@@ -530,11 +547,27 @@ def _floats(arr):
             for v in arr]
 
 
-def _write_json(path: str, doc) -> None:
-    # compact, in one json.dumps call: json.dump and any indent fall back
-    # to the pure-Python encoder, slower than the oracle's own reductions
+def _write_json(path: str, doc,
+                entry: tuple[str, Iterable[str]] | None = None) -> None:
+    """``json.dumps(doc, sort_keys=True)`` and a newline: compact, in one
+    call, since json.dump and any indent fall back to the pure-Python
+    encoder, slower than the oracle's own reductions.  ``entry`` is a
+    (key, pieces of JSON text) pair whose value is written into ``doc``
+    in key order, piece by piece, as ``json.dumps`` would have written
+    it."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        if entry is None:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            return
+        key, pieces = entry
+        before = json.dumps({k: v for k, v in doc.items() if k < key},
+                            sort_keys=True)[:-1]
+        after = json.dumps({k: v for k, v in doc.items() if k > key},
+                           sort_keys=True)[1:]
+        fh.write(before + (", " if len(before) > 1 else "")
+                 + json.dumps(key) + ": ")
+        fh.writelines(pieces)
+        fh.write((", " if len(after) > 1 else "") + after + "\n")
 
 
 _RUNNERS = {

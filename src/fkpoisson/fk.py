@@ -258,23 +258,27 @@ def _glue(labels: np.ndarray, n: int, sites: np.ndarray, classes: np.ndarray,
     label."""
     rep = np.arange(n)
     at = labels[:, sites]
-    rows = np.arange(len(labels))[:, None]
-    while True:
-        r = rep[at]
-        low = np.full((len(labels), n_classes), n)
-        np.minimum.at(low, (rows, classes), r)
-        target = low[:, classes]
-        if np.array_equal(target, r):
-            break
-        np.minimum.at(rep, r, target)
-        while True:  # point every label at its current root
-            nxt = rep[rep]
-            if np.array_equal(nxt, rep):
+    if n_classes == 1:
+        # a label meets one class at most, so one step is the fixpoint
+        rep[at] = at.min(axis=1, keepdims=True)
+    else:
+        rows = np.arange(len(labels))[:, None]
+        while True:
+            r = rep[at]
+            low = np.full((len(labels), n_classes), n)
+            np.minimum.at(low, (rows, classes), r)
+            target = low[:, classes]
+            if np.array_equal(target, r):
                 break
-            rep = nxt
+            np.minimum.at(rep, r, target)
+            while True:  # point every label at its current root
+                nxt = rep[rep]
+                if np.array_equal(nxt, rep):
+                    break
+                rep = nxt
     root = rep == np.arange(n)
     dense = np.cumsum(root) - 1
-    return dense[rep][labels], int(root.sum())
+    return dense[rep].take(labels), int(root.sum())
 
 
 def cluster_count(config: BondConfig, bc: BoundaryCondition = FREE) -> int:

@@ -4,11 +4,15 @@ Every operation here enumerates all 2^|bonds| configurations, so it is
 deliberately brute force and refuses beyond a hard cap.  Configuration i
 encodes bond j as bit j: state[j] = (i >> j) & 1, in ``box.bonds`` order.
 
-Configurations are labeled by ``fk.label_sites``, a chunk at a time:
-once under the boundary condition, for the weights, and once over open
-bonds only, for the per-(configuration, site) cluster tables that are
-cached on the ``ExactDistribution``; the exact laws below are reductions
-over those tables.  Probabilities are accumulated in configuration order
+Configurations are labeled by their own recurrence, a chunk at a time
+(``_enumeration_labels``): configuration c + 2^j, for c < 2^j, is c with
+bond j opened, so its labels are c's with the two endpoint clusters
+merged, and every site is labeled by the smallest site index of its
+cluster.  The enumeration is labeled twice: once under the boundary
+condition, for the weights, and once over open bonds only, for the
+per-(configuration, site) cluster tables that are cached on the
+``ExactDistribution``; the exact laws below are reductions over those
+tables.  Probabilities are accumulated in configuration order
 (``np.add.at``, ``np.cumsum``), the order of a plain loop over
 configurations, so results do not depend on how the reductions are
 vectorized.
@@ -23,13 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
 from .census import cluster_centers, cluster_stats
-from .fk import BondConfig, FKParams, ResourceCapError, label_sites
+from .fk import (FREE, BondConfig, BoundaryCondition, FKParams,
+                 ResourceCapError)
 from .lattice import Box, Site
 
 ENUM_CAP = 24
@@ -93,10 +96,54 @@ def _chunks(n_configs: int):
         yield slice(start, min(start + CHUNK, n_configs))
 
 
-def _open_bonds(rows: slice, n_bonds: int) -> np.ndarray:
-    """(configs, bonds) bool: the bits of configurations rows.start..stop."""
-    idx = np.arange(rows.start, rows.stop, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n_bonds)) & 1).astype(bool)
+def _start_labels(box: Box, bc: BoundaryCondition) -> np.ndarray:
+    """The labels of the all-closed configuration: each site its own,
+    except that the sites of a boundary class all take the class's
+    smallest."""
+    start = np.arange(box.n_sites, dtype=np.uint8)
+    for group in bc.class_lists(box):
+        start[group] = min(group)
+    return start
+
+
+def _merge(labels: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """``labels`` with the clusters of sites a and b merged, into ``out``:
+    the larger of their two labels becomes the smaller."""
+    la, lb = labels[:, a, None], labels[:, b, None]
+    merged = labels == np.maximum(la, lb)
+    np.copyto(out, labels)
+    np.copyto(out, np.minimum(la, lb), where=merged)
+
+
+def _enumeration_labels(box: Box, bc: BoundaryCondition = FREE):
+    """Yield ``(rows, labels)`` chunk by chunk over all configurations:
+    ``labels`` is the (configs, n_sites) uint8 array in which each site of
+    configurations rows.start..stop carries the smallest site index of its
+    cluster, the boundary classes of ``bc`` glued.
+
+    A chunk is cut into blocks of 2^k configurations that start at a
+    multiple of 2^k.  A block's first configuration has only bonds k and
+    up open; they are merged into the all-closed labels one at a time.
+    The block then doubles once per bond j < k: its configurations
+    2^j..2^(j+1)-1 are its first 2^j with bond j merged."""
+    start = _start_labels(box, bc)
+    ends = box.bond_sites.tolist()
+    for rows in _chunks(1 << box.n_bonds):
+        out = np.empty((rows.stop - rows.start, box.n_sites), np.uint8)
+        lo = rows.start
+        while lo < rows.stop:
+            k = (lo & -lo).bit_length() - 1 if lo else box.n_bonds
+            while lo + (1 << k) > rows.stop:
+                k -= 1
+            block = out[lo - rows.start:lo - rows.start + (1 << k)]
+            block[0] = start
+            for j in range(k, box.n_bonds):
+                if (lo >> j) & 1:
+                    _merge(block[:1], *ends[j], out=block[:1])
+            for j in range(k):
+                _merge(block[:1 << j], *ends[j], out=block[1 << j:2 << j])
+            lo += 1 << k
+        yield rows, out
 
 
 def _cluster_tables(box: Box) -> ClusterTables:
@@ -105,16 +152,15 @@ def _cluster_tables(box: Box) -> ClusterTables:
                            np.empty((n_configs, s), np.uint8),
                            np.empty((n_configs, s), bool),
                            np.empty((n_configs, s), np.uint8))
-    for rows in _chunks(n_configs):
-        labels, n = label_sites(box, _open_bonds(rows, box.n_bonds))
-        size, touches = cluster_stats(box, labels, n)
+    for rows, label in _enumeration_labels(box):
+        # number the chunk's clusters 0..n-1 in order of their smallest
+        # site, configuration by configuration, as label_sites does
+        roots = np.cumsum(label == np.arange(s)).reshape(label.shape)
+        labels = np.take_along_axis(roots, label.astype(np.intp), axis=1)
+        labels -= 1
+        size, touches = cluster_stats(box, labels, int(roots[-1, -1]))
         center = cluster_centers(box, labels, size)
-        # labels come in order of each cluster's smallest site, so a site
-        # is its cluster's smallest exactly where the running maximum of
-        # its configuration's labels rises
-        first = np.diff(np.maximum.accumulate(labels, axis=1), axis=1,
-                        prepend=-1) > 0
-        tables.label[rows] = (np.flatnonzero(first) % s)[labels]
+        tables.label[rows] = label
         tables.size[rows] = size[labels]
         tables.touches[rows] = touches[labels]
         tables.center[rows] = np.ravel_multi_index(center.T,
@@ -132,15 +178,15 @@ def enumerate_measure(box: Box, params: FKParams,
             f"2^{m} configurations", size=2.0 ** m)
     params.boundary.validate(box)
     p, q = params.p, params.q
-    n = 1 << m
-    k = np.empty(n, dtype=np.int64)
-    cl = np.empty(n, dtype=np.int64)
-    for rows in _chunks(n):
-        open_ = _open_bonds(rows, m)
-        k[rows] = open_.sum(axis=1)
-        # each configuration's labels are one range, starting at site 0's
-        labels, total = label_sites(box, open_, params.boundary)
-        cl[rows] = np.diff(labels[:, 0], append=total)
+    # open bonds by doubling: configuration c + 2^j has one more than c
+    k = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        k = np.concatenate([k, k + 1])
+    cl = np.empty(1 << m, dtype=np.int64)
+    own = np.arange(box.n_sites)
+    for rows, labels in _enumeration_labels(box, params.boundary):
+        # a cluster has one site that is its own label
+        cl[rows] = (labels == own).sum(axis=1)
     if p == 0.0:
         base = np.where(k == 0, 0.0, -np.inf)
     elif p == 1.0:
@@ -414,35 +460,52 @@ def conjecture7_rows(dist: ExactDistribution, n: int,
 
 def _conjecture7(dist: ExactDistribution, n: int, surrogate: str,
                  pairs: list[tuple[int, int]]) -> list[Conjecture7Result]:
-    """Conjecture 7 at the site-index pairs ``pairs``, grouped by x."""
+    """Conjecture 7 at the site-index pairs ``pairs``, in their order.
+
+    One pass over the configurations, a chunk at a time: a row per pair,
+    plus one for the right side, holds each configuration's probability
+    where the event holds and 0.0 elsewhere, after the totals so far, and
+    a cumulative sum along each row adds them in configuration order.
+    Adding 0.0 is exact, so each total is the sum over the event's
+    configurations taken one at a time in index order; for the same
+    reason a chunk skips the pairs whose x or y it never finds large."""
     box, t = dist.box, dist.cluster_tables
-
-    def finite_large(site: int, thresh: int, rows=slice(None)) -> np.ndarray:
-        large = t.size[rows, site] >= thresh
-        if surrogate == "boundary":
-            large &= ~t.touches[rows, site]
-        return large
-
-    rhs = _ordered_sum(dist.probs[finite_large(box.site_index(box.center),
-                                               2 * n)])
-    out = []
-    for xi, group in groupby(pairs, key=itemgetter(0)):
-        # the configurations where the x-cluster is n-large and finite, in
-        # configuration order
-        rows = np.flatnonzero(finite_large(xi, n))
-        probs, label = dist.probs[rows], t.label[rows, xi]
-        for _, yi in group:
-            lhs = _ordered_sum(probs[(label != t.label[rows, yi])
-                                     & finite_large(yi, n, rows)])
-            out.append(Conjecture7Result(box, dist.params.p, dist.params.q,
-                                         n, box.sites[xi], box.sites[yi],
-                                         surrogate, lhs, rhs))
-    return out
+    x, y = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    z = box.site_index(box.center)
+    total = np.zeros(len(pairs) + 1)  # the last entry is the right side
+    for rows in _chunks(dist.n_configs):
+        # (sites, configs): the rows of hit and acc run along configurations
+        size, label = t.size[rows].T, t.label[rows].T
+        finite = ~t.touches[rows].T if surrogate == "boundary" \
+            else np.ones(size.shape, bool)
+        large = (size >= n) & finite
+        live = large.any(axis=1)
+        cols = np.append(np.flatnonzero(live[x] & live[y]), len(pairs))
+        xs, ys = x[cols[:-1]], y[cols[:-1]]
+        hit = np.empty((len(cols), size.shape[1]), bool)
+        np.logical_and(large[xs], large[ys], out=hit[:-1])
+        hit[:-1] &= label[xs] != label[ys]
+        hit[-1] = (size[z] >= 2 * n) & finite[z]
+        acc = np.empty((len(cols), size.shape[1] + 1))
+        acc[:, 0] = total[cols]
+        np.multiply(hit, dist.probs[rows], out=acc[:, 1:])
+        total[cols] = _row_sums(acc)
+    rhs = float(total[-1])
+    return [Conjecture7Result(box, dist.params.p, dist.params.q, n,
+                              box.sites[xi], box.sites[yi], surrogate,
+                              lhs, rhs)
+            for xi, yi, lhs in zip(x.tolist(), y.tolist(),
+                                   total[:-1].tolist())]
 
 
 def _ordered_sum(values: np.ndarray) -> float:
     """Sum in array order, one addition at a time, as a loop would."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """``_ordered_sum`` of each row of a 2-d array."""
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from fkpoisson.cli import main
 from fkpoisson.experiment import (ConfigError, config_hash, make_report,
                                   merge_reports, replica_seed, run,
                                   validate_config)
+from fkpoisson.fk import FKParams
+from fkpoisson.lattice import Box
 
 
 def test_validate_rejects_unknown_keys():
@@ -110,6 +112,30 @@ def test_cli_oracle_value(tmp_path):
     probs = {row["config"]: row["probability"]
              for row in doc["distribution"]}
     assert probs[1] == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("config", [
+    {"sides": [5], "p": 0.0, "q": 2.0, "n": 1},
+    {"sides": [5], "p": 1.0, "q": 2.0, "n": 1},
+    # probabilities down to 1.8e-13, written in e-notation
+    {"sides": [2, 3], "p": 0.02, "q": 1.5, "n": 1, "surrogate": "all"},
+    {"sides": [2, 2, 2], "p": 0.6, "q": 3.0, "n": 1},
+    # 2^17 configurations: more than one piece of the table
+    {"sides": [3, 4], "p": 0.6, "q": 2.0, "n": 2, "surrogate": "all"},
+])
+def test_oracle_json_is_json_dumps(tmp_path, config):
+    """The table written in pieces leaves oracle.json exactly as one
+    json.dumps call would write it, with to_table()'s rows."""
+    run("oracle", config, str(tmp_path / "o"))
+    raw = (tmp_path / "o" / "rep000" / "oracle.json").read_text()
+    doc = json.loads(raw)
+    assert json.dumps(doc, sort_keys=True) + "\n" == raw
+    dist = oracle.enumerate_measure(
+        Box((0,) * len(config["sides"]), tuple(config["sides"])),
+        FKParams(config["p"], config["q"]))
+    assert doc["distribution"] == dist.to_table()
+    if config["p"] == 0.02:
+        assert "e-" in raw
 
 
 def test_oracle_enumerates_the_measure_once(tmp_path, monkeypatch):
@@ -390,6 +416,30 @@ def test_sample_and_census_draw_the_same_states(tmp_path):
                          "touches_boundary": bool(t)}
                         for i, z, c, t in zip(ref.sample_id, ref.size,
                                               ref.center, ref.touches)]
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("sample", _SAMPLE),
+    ("census", dict(_WULFF, samples=3)),
+    ("chenstein", _CHENSTEIN),
+    ("oracle", {"sides": [2, 2], "p": 0.5, "q": 2.0, "n": 1}),
+    ("surgery", {"sides": [4, 4], "p": 0.5, "instances": 1}),
+    ("coupling", _COUPLING),
+    ("wulff", dict(_WULFF, shape_side=1.0)),
+    ("decay", {"p": 0.5, "q": 1.0, "n_schedule": [2], "samples": 5}),
+])
+def test_manifest_config_reruns(tmp_path, subcommand, config):
+    """The normalized config a manifest records is a valid config of its
+    subcommand, and rerunning it writes the same outputs."""
+    first = run(subcommand, config, str(tmp_path / "a"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(first["config"]))
+    assert main([subcommand, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "b")]) == 0
+    again = json.load(open(tmp_path / "b" / "manifest.json"))
+    assert again["config"] == first["config"]
+    assert again["outputs"] == first["outputs"]
+    assert again["chain_hash"] == first["chain_hash"]
 
 
 def test_run_sample_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ import pytest
 from fkpoisson import oracle
 from fkpoisson.census import mass_center
 from fkpoisson.fk import (FREE, WIRED, BoundaryCondition, FKParams,
-                          ResourceCapError)
+                          ResourceCapError, label_sites)
 from fkpoisson.lattice import Box
-from reference_labelers import (DisjointSet, label_clusters_bfs, pattern_key,
-                                tv_sup_form)
+from reference_labelers import (DisjointSet, conjecture7_pair,
+                                label_clusters_bfs, pattern_key, tv_sup_form)
 
 CHAIN4 = Box((0,), (4,))
 CHAIN6 = Box((0,), (6,))
@@ -439,3 +440,70 @@ def test_exact_tv_independent_of_hash_seed():
                               check=True)
         out.append(proc.stdout.strip())
     assert out[0] == out[1]
+
+
+# ---------------------------------------------------------------------------
+# the enumeration's own labels against the one labeler of given
+# configurations
+
+
+def _thirds(box):
+    """A three-class partition of the boundary, in site order."""
+    b = sorted(box.boundary, key=box.site_index)
+    return BoundaryCondition.partition([b[0::3], b[1::3], b[2::3]])
+
+
+BOX33 = Box.cube(2, 3)
+RECURRENCE_CASES = [
+    (Box.centered(1, 7), FREE),
+    (Box((0, 0), (2, 3)), FREE),
+    (BOX33, FREE),
+    (BOX33, WIRED),
+    (BOX33, _thirds(BOX33)),
+    (Box.cube(3, 2), FREE),
+    (Box((4,), (1,)), FREE),  # one site, no bonds
+]
+
+
+@pytest.mark.parametrize("chunk", [37, 64])
+@pytest.mark.parametrize("box,bc", RECURRENCE_CASES)
+def test_enumeration_labels_match_label_sites(monkeypatch, box, bc, chunk):
+    """Every configuration's labels are the smallest site of its
+    ``label_sites`` cluster, glued counts included, whatever the chunk."""
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    chunks = list(oracle._enumeration_labels(box, bc))
+    m, s = box.n_bonds, box.n_sites
+    assert [r.start for r, _ in chunks] == list(range(0, 1 << m, chunk))
+    assert chunks[-1][0].stop == 1 << m
+    got = np.concatenate([labels for _, labels in chunks])
+    assert got.dtype == np.uint8
+    idx = np.arange(1 << m)
+    labels, n = label_sites(box, (idx[:, None] >> np.arange(m)) & 1, bc)
+    smallest = np.full(n, s)
+    np.minimum.at(smallest, labels, np.broadcast_to(np.arange(s),
+                                                    labels.shape))
+    assert np.array_equal(got, smallest[labels])
+    # a configuration's labels are one range, starting at site 0's
+    counts = np.diff(labels[:, 0], append=n)
+    assert np.array_equal((got == np.arange(s)).sum(axis=1), counts)
+
+
+def test_oracle_calls_no_generic_labeler():
+    text = Path(oracle.__file__).read_text()
+    assert not hasattr(oracle, "label_sites")
+    assert "label_sites(" not in text and "ndimage" not in text
+
+
+@pytest.mark.parametrize("surrogate", ["boundary", "all"])
+def test_conjecture7_rows_carry_across_chunks(monkeypatch, surrogate):
+    """Rows summed over many chunks, each skipping the pairs it never
+    finds large, equal the one-pair loop bit for bit."""
+    monkeypatch.setattr(oracle, "CHUNK", 37)
+    box = Box((0, 0), (3, 3))
+    dist = oracle.enumerate_measure(box, FKParams(0.55, 2.0))
+    k = box.n_sites
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for n in (1, 2):
+        rows = oracle.conjecture7_rows(dist, n, surrogate)
+        assert [(r.lhs, r.rhs) for r in rows] == \
+            [conjecture7_pair(dist, n, i, j, surrogate) for i, j in pairs]
