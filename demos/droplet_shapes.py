@@ -8,16 +8,20 @@ candidate shape.
 """
 import numpy as np
 
-from fkpoisson import Box
-from fkpoisson.wulff import (empirical_shape, qualifying_clusters,
-                             square_shape, symmetric_difference_stat)
+from fkpoisson import Box, census_from_states
+from fkpoisson.wulff import (empirical_shape, square_shape,
+                             symmetric_difference_stat)
 
 rng = np.random.default_rng(2)
 box = Box.cube(2, 40)
 n = 4
 states = np.array([(rng.random(box.n_bonds) < 0.7).astype(np.uint8)
                    for _ in range(900)])
-sample, centers, sites, owner = qualifying_clusters(box, states, n)
+# the census of the samples keeps the sites of its finite clusters
+census = census_from_states(box, states, n)
+rows = census.qualifying(n)
+sample, centers = census.sample_id[rows], census.center[rows]
+sites, owner = census.member_sites(rows)
 
 mask = empirical_shape(sites, owner, centers, cells_per_unit=8, min_count=30)
 print(f"empirical droplet shape from n>={n} clusters: "

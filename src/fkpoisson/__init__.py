@@ -31,5 +31,5 @@ from .coupling import (ClaimsCheck, Coloring, CouplingOutcome, analyze_pair,
                        influence_decay, interior_boundary, k_event,
                        mixing_scan)
 from .wulff import (ShapeDiagnostic, ShapeMask, empirical_shape, fatten,
-                    qualifying_clusters, renormalize, square_shape,
-                    symdiff_volume, symmetric_difference_stat)
+                    renormalize, square_shape, symdiff_volume,
+                    symmetric_difference_stat)

@@ -92,6 +92,12 @@ class Census:
     cluster's smallest site, so row r is the r-th cluster of size >=
     min_size in the labels ``fk.label_sites`` gives the same states under
     ``boundary``.
+
+    ``members`` holds the sites of every finite row (``~touches``), row
+    after row, each row's ``size`` sites in ascending row-major index:
+    4 bytes a site, with each row's start implied by the sizes
+    (``member_start``).  Estimators that need a cluster's sites read them
+    here, so one labeling pass serves them all.
     """
 
     box: Box
@@ -100,6 +106,7 @@ class Census:
     size: np.ndarray           # int64 per row
     center: np.ndarray         # (rows, d) int64 mass centers
     touches: np.ndarray        # bool per row
+    members: np.ndarray        # int32 site index per site of finite rows
     min_size: int = 1
     origin: Site | None = None
     origin_size: np.ndarray | None = None     # int64 per sample
@@ -141,6 +148,26 @@ class Census:
         idx = self.center_index()[mask]
         hits = np.bincount(idx, minlength=self.box.n_sites)
         return hits / self.n_samples
+
+    def member_start(self) -> np.ndarray:
+        """Index into ``members`` of each row's first site; a row that
+        touches the boundary has no sites and starts where the next finite
+        row does."""
+        size = np.where(self.touches, 0, self.size)
+        return np.cumsum(size) - size
+
+    def member_sites(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sites of the finite rows a row mask selects: an (m, d) array
+        of coordinates, row by row and each row's in row-major order, and
+        for each site the rank of its row among the selected ones."""
+        if (rows & self.touches).any():
+            raise ValueError("rows that touch the boundary keep no sites")
+        finite = ~self.touches
+        size = self.size[finite]
+        pick = rows[finite]
+        site = self.members[np.repeat(pick, size)]
+        owner = np.repeat(np.arange(int(pick.sum())), size[pick])
+        return self.box.offsets[site] + np.array(self.box.lower), owner
 
     def to_jsonl(self, fh) -> None:
         """One JSON object per cluster row: sample id, size, mass center,
@@ -220,10 +247,10 @@ def _census(box: Box, chunks, min_size: int, origin: Site | None,
         done += len(states)
     if not parts:
         raise ValueError("no samples")
-    sid, size, center, touches, osz, oto = (
+    sid, size, center, touches, members, osz, oto = (
         np.concatenate(col) if col[0] is not None else None
         for col in zip(*parts))
-    return Census(box, done, sid, size, center, touches,
+    return Census(box, done, sid, size, center, touches, members,
                   min_size=min_size, origin=origin,
                   origin_size=osz, origin_touches=oto, boundary=boundary)
 
@@ -256,11 +283,19 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
                  origin: Site | None, boundary: BoundaryCondition):
     """Rows of the open-bond clusters of ``states``, samples numbered from
     ``first``: (sample id, size, mass center, boundary contact) per row,
-    plus per-sample origin-cluster size and contact when origin is set."""
+    the member sites of the finite rows, and per-sample origin-cluster
+    size and contact when origin is set."""
     labels, n = label_sites(box, states, boundary)
     size, touches = cluster_stats(box, labels, n)
     center = cluster_centers(box, labels, size)
-    keep = np.flatnonzero(size >= min_size)
+    big = size >= min_size
+    keep = np.flatnonzero(big)
+    # (sample, site) positions in finite kept clusters, grouped by label
+    # in one sort of the keys label << 32 | position
+    flat = labels.reshape(-1)
+    at = np.flatnonzero((big & ~touches)[flat])
+    key = np.sort((flat[at].astype(np.int64) << 32) | at)
+    members = ((key & 0xFFFFFFFF) % box.n_sites).astype(np.int32)
     # each sample's labels are one range, starting at its first site's
     owner = np.repeat(np.arange(first, first + len(states)),
                       np.diff(labels[:, 0], append=n))
@@ -269,7 +304,7 @@ def _census_rows(box: Box, states: np.ndarray, first: int, min_size: int,
         ol = labels[:, box.site_index(origin)]
         osz, oto = size[ol], touches[ol]
     return (owner[keep], size[keep], center[keep] + box.lower, touches[keep],
-            osz, oto)
+            members, osz, oto)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .census import Census
-from .fk import FKParams, ResourceCapError, label_sites
+from .fk import FKParams, ResourceCapError
 from .lattice import Box, Site
 from . import oracle
 
@@ -106,7 +106,7 @@ class PairStats:
             raise ValueError(f"no pair estimates for offsets {missing}")
 
 
-def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
+def estimate_pxy(census: Census, n: int, offsets=None,
                  K: float = 5.0) -> PairStats:
     """Empirical pair probabilities of qualifying mass centers.
 
@@ -116,16 +116,12 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
     close and a distant part at cluster distance K ln n; the two parts add
     up to the windowed estimate exactly, being an event partition.
 
-    ``census`` holds the rows of ``states``, the (samples, n_bonds) array
-    it was built from; sizes, centers and boundary contact come from its
-    rows, cluster sites for the distance from one labeling of the samples
-    that hold a windowed pair.
+    Sizes, centers and boundary contact come from the census rows, and
+    the cluster sites for the distance from the census's ``members``.
     """
     box = census.box
     if census.n_samples == 0:
         raise ValueError("no samples")
-    if len(states) != census.n_samples:
-        raise ValueError("states and census differ in sample count")
     d = box.d
     if offsets is None:
         offsets = neighborhood_offsets(n, d)
@@ -153,7 +149,7 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
     size = census.size[rows]
     local = (size[a] < n * n) & (size[b] < n * n)
     close = np.zeros(len(a), dtype=bool)
-    close[local] = _cluster_distance(census, states, rows[a[local]],
+    close[local] = _cluster_distance(census, rows[a[local]],
                                      rows[b[local]]) <= cut
 
     # distinct positions x per (sample, offset) in each event, with keys
@@ -187,32 +183,20 @@ def estimate_pxy(census: Census, states: np.ndarray, n: int, offsets=None,
     return PairStats(n, K, n_samples, box, out)
 
 
-def _cluster_distance(census: Census, states: np.ndarray, ra: np.ndarray,
+def _cluster_distance(census: Census, ra: np.ndarray,
                       rb: np.ndarray) -> np.ndarray:
-    """Least L1 distance between the sites of the clusters of census rows
-    ``ra`` and those of rows ``rb``, pair by pair (rows of one sample)."""
+    """Least L1 distance between the sites of the finite clusters of
+    census rows ``ra`` and those of rows ``rb``, pair by pair."""
     out = np.empty(len(ra), dtype=np.int64)
     if len(ra) == 0:
         return out
-    # label only the samples holding a pair; their census rows are runs
-    held = np.unique(census.sample_id[ra])
-    labels, n = label_sites(census.box, states[held], census.boundary)
-    size = np.bincount(labels.reshape(-1), minlength=n)
-    row_label = np.flatnonzero(size >= census.min_size)
-    held_rows = np.flatnonzero(np.isin(census.sample_id, held))
-    if len(row_label) != len(held_rows):
-        raise ValueError("census rows do not match the states")
-    # flat (sample, site) positions grouped by label, each group in site order
-    order = np.argsort(labels.reshape(-1), kind="stable")
-    first = np.cumsum(size) - size
+    start = census.member_start()
     coords = census.box.offsets
-    n_sites = census.box.n_sites
     m = int(max(census.size[ra].max(), census.size[rb].max()))
 
     def sites(r):
-        la = row_label[np.searchsorted(held_rows, r)]
-        j = np.minimum(np.arange(m), size[la][:, None] - 1)
-        return coords[order[first[la][:, None] + j] % n_sites]
+        j = np.minimum(np.arange(m), census.size[r][:, None] - 1)
+        return coords[census.members[start[r][:, None] + j]]
 
     # a cluster padded with copies of its last site keeps its distance
     step = max(1, (1 << 20) // (m * m))

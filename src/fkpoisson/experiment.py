@@ -9,6 +9,7 @@ manifest; artifact files are byte-stable across reruns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,8 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import chenstein, coupling, oracle, surgery as surgery_mod, wulff as wulff_mod
-from .census import (census_from_states, census_sampled, decay_rate,
-                     state_chunks)
+from .census import census_sampled, decay_rate, state_chunks
 from .fk import (FREE, WIRED, BondConfig, FKParams, config_to_bytes,
                  label_sites, sample_states)
 from .lattice import Box, set_distance
@@ -72,7 +72,9 @@ def _ints(lo=-math.inf):
 
 # per key: the check its value must pass and what that asks for
 _FIELDS = {
-    "seed": (_int(0), "need an int >= 0"),
+    # .fkc records store the seed as a uint64
+    "seed": (lambda v: _int(0)(v) and v < 1 << 64,
+             "need an int in [0, 2^64)"),
     "p": (_real(0, 1), "need a real in [0,1]"),
     "q": (_real(1), "need a real >= 1"),
     "samples": (_int(1), "need an int >= 1"),
@@ -140,6 +142,13 @@ def validate_config(subcommand: str, config: dict) -> dict:
     if subcommand == "coupling":
         _need(out, "sides", lambda v: max(v) >= 2,
               "need a side >= 2, for the central bond")
+    if subcommand == "census":
+        # the report counts clusters of size >= n
+        _need(out, "min_size", lambda v: v <= out["n"],
+              f"need an int in [1, n] = [1, {out['n']}]")
+    if subcommand == "decay" and "lower" in out:
+        raise ConfigError("config field 'lower': decay boxes are centered "
+                          "at the origin, so it takes none")
     out.setdefault("boundary", "free")
     if "K" in optional:
         out.setdefault("K", 5.0)
@@ -234,10 +243,11 @@ def _moment(values) -> tuple[int, float, float]:
 def _run_sample(config, seed_seq, out_dir):
     box = _box_of(config)
     params = _params_of(config)
-    states = _replica_states(config, seed_seq)
+    rows = itertools.chain.from_iterable(
+        state_chunks(*_sampler_args(config, seed_seq)))
     path = os.path.join(out_dir, "samples.fkc")
     with open(path, "wb") as fh:
-        for i, row in enumerate(states):
+        for i, row in enumerate(rows):
             blob = config_to_bytes(BondConfig(box, row), params,
                                    seed=config["seed"], sweep_index=i)
             fh.write(len(blob).to_bytes(4, "little"))
@@ -248,12 +258,6 @@ def _run_sample(config, seed_seq, out_dir):
 def _sampler_args(config, seed_seq) -> tuple:
     return (_params_of(config), _box_of(config), config["samples"],
             config.get("thinning", 10), config.get("burn_in"), seed_seq)
-
-
-def _replica_states(config, seed_seq) -> np.ndarray:
-    """The replica's sample set, drawn as ``census_sampled`` draws it."""
-    return np.concatenate(list(state_chunks(*_sampler_args(config,
-                                                           seed_seq))))
 
 
 def _run_census(config, seed_seq, out_dir):
@@ -283,12 +287,15 @@ def _run_chenstein(config, seed_seq, out_dir):
     box = _box_of(config)
     params = _params_of(config)
     n = config["n"]
-    states = _replica_states(config, seed_seq)
-    census = census_from_states(box, states, n, boundary=params.boundary)
+    census = census_sampled(*_sampler_args(config, seed_seq), min_size=n)
     side = config.get("neighborhood_side")
     px = census.px_field(n)
     counts = census.counts_per_sample(n)
-    stats = chenstein.estimate_pxy(census, states, n, K=config["K"])
+    # pairs over the larger of the default and the configured box
+    wide = max(side or 0, 2 * chenstein.neighborhood_halfwidth(n) + 1)
+    stats = chenstein.estimate_pxy(
+        census, n, chenstein.neighborhood_offsets(n, box.d, wide),
+        K=config["K"])
     b1, b2 = chenstein.compute_b1_b2(px, stats, box, n, side)
     stack = chenstein.field_stack(census, n)
     b3_seed, pois_seed = seed_seq.spawn(2)
@@ -478,9 +485,10 @@ def _separation_bond_pairs(box: Box, separations):
 def _run_wulff(config, seed_seq, out_dir):
     box = _box_of(config)
     n = config["n"]
-    states = _replica_states(config, seed_seq)
-    sample, centers, sites, owner = wulff_mod.qualifying_clusters(
-        box, states, n, _params_of(config).boundary)
+    census = census_sampled(*_sampler_args(config, seed_seq), min_size=n)
+    quals = census.qualifying(n)
+    sample, centers = census.sample_id[quals], census.center[quals]
+    sites, owner = census.member_sites(quals)
     cpu = config.get("cells_per_unit", wulff_mod.DEFAULT_CELLS_PER_UNIT)
     if "shape_side" in config:
         shape = wulff_mod.square_shape(config["shape_side"], cpu, box.d)
@@ -494,11 +502,11 @@ def _run_wulff(config, seed_seq, out_dir):
     width = config.get("f_width", default_f_width(n))
     delta = config.get("delta", 0.1)
     # sites come by sample, like the clusters
-    bounds = np.arange(len(states) + 1)
+    bounds = np.arange(census.n_samples + 1)
     cluster_cut = np.searchsorted(sample, bounds)
     site_cut = np.searchsorted(sample[owner], bounds)
     rows = []
-    for i in range(len(states)):
+    for i in range(census.n_samples):
         diag = wulff_mod.symmetric_difference_stat(
             np.unique(centers[cluster_cut[i]:cluster_cut[i + 1]], axis=0),
             sites[site_cut[i]:site_cut[i + 1]], shape, n, width, delta)

@@ -9,6 +9,10 @@ grid so translations by lattice vectors are exact.
 Raster convention: a lattice site occupies its closed unit cell, and the
 width-l neighborhood of a cluster extends l beyond those cells, so a
 singleton fattened by l rasterizes to a cube of side 2l + 1.
+
+The functions read plain arrays of centers and sites.  The ``wulff``
+subcommand takes them from one census per replica: the rows of
+``Census.qualifying(n)`` and their ``Census.member_sites``.
 """
 from __future__ import annotations
 
@@ -18,10 +22,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .census import cluster_centers, cluster_stats, configs_per_label_call
-from .fk import FREE, BoundaryCondition, label_sites
-from .lattice import Box
 
 DEFAULT_CELLS_PER_UNIT = 16
 # a raster cell whose centre is this close to a box edge counts as inside
@@ -333,32 +333,3 @@ def empirical_shape(sites, owner, centers,
     acc = _cover((2 * half,) * d, np.concatenate(lo)[once] + half,
                  np.concatenate(hi)[once] + half)
     return ShapeMask(cpu, (-half,) * d, acc / k >= 0.5)
-
-
-def qualifying_clusters(box: Box, states: np.ndarray, n: int,
-                        boundary: BoundaryCondition = FREE):
-    """The finite clusters of size >= n of a (samples, n_bonds) state
-    array, labeled under ``boundary`` in ``label_sites`` batches.
-
-    Returns ``(sample, centers, sites, owner)``: per cluster, in label
-    order, its sample and its floor mass center; per site of those
-    clusters, by sample and then site, its coordinates and the index of
-    its cluster.
-    """
-    per_call = configs_per_label_call(box)
-    parts, found = [], 0
-    for first in range(0, len(states), per_call):
-        labels, m = label_sites(box, states[first:first + per_call], boundary)
-        size, touches = cluster_stats(box, labels, m)
-        ok = ~touches & (size >= n)
-        # each sample's labels are one range, starting at its first site's
-        sample = np.repeat(np.arange(first, first + len(labels)),
-                           np.diff(labels[:, 0], append=m))
-        index = np.cumsum(ok) - 1 + found
-        rows, cols = np.nonzero(ok[labels])
-        parts.append((sample[ok],
-                      cluster_centers(box, labels, size)[ok] + box.lower,
-                      box.offsets[cols] + box.lower,
-                      index[labels[rows, cols]]))
-        found += int(ok.sum())
-    return tuple(np.concatenate(col) for col in zip(*parts))

@@ -112,9 +112,10 @@ def label_clusters_bfs(config, bc=FREE) -> ClusterSet:
 def census_rows_bfs(box, states, min_size: int = 1, origin=None,
                     bc=FREE) -> dict:
     """Census columns (see ``census.Census``) built cluster by cluster from
-    ``label_clusters_bfs`` under ``bc``, as lists."""
+    ``label_clusters_bfs`` under ``bc``, as lists; ``sites`` holds the
+    sorted sites of each finite row, row by row."""
     cols = {k: [] for k in ("sample_id", "size", "center", "touches",
-                            "origin_size", "origin_touches")}
+                            "sites", "origin_size", "origin_touches")}
     for sid, state in enumerate(states):
         cs = label_clusters_bfs(BondConfig(box, state), bc)
         for c in cs.clusters:
@@ -123,6 +124,8 @@ def census_rows_bfs(box, states, min_size: int = 1, origin=None,
                 cols["size"].append(c.size)
                 cols["center"].append(list(c.mass_center))
                 cols["touches"].append(c.touches_boundary)
+                if not c.touches_boundary:
+                    cols["sites"].append(sorted(map(list, c.sites)))
         if origin is not None:
             oc = cs.cluster_of(origin)
             cols["origin_size"].append(oc.size)

@@ -23,8 +23,7 @@ from fkpoisson.lattice import Box, l1
 from fkpoisson.surgery import (antecedent_bound, count_antecedents,
                                random_close_pairs, transform,
                                weight_ratio_check)
-from fkpoisson.wulff import (qualifying_clusters, square_shape,
-                             symmetric_difference_stat)
+from fkpoisson.wulff import square_shape, symmetric_difference_stat
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -134,7 +133,7 @@ def test_criterion_04_estimators_match_oracle():
         census = census_from_states(chain, bits, n)
         px_hat = census.px_field(n)
         wanted = chenstein.neighborhood_offsets(n, 1) + [(-3,), (3,)]
-        stats = estimate_pxy(census, bits, n, offsets=wanted)
+        stats = estimate_pxy(census, n, offsets=wanted)
         b1_hat, b2_hat = compute_b1_b2(px_hat, stats, chain, n)
         rows["px"].append(px_hat[xc])
         rows["b1"].append(b1_hat)
@@ -376,7 +375,10 @@ def test_criterion_11_shape_self_consistency():
     for i, (a, b) in enumerate(box.bonds):
         if a in inside_set and b in inside_set:
             state[i] = 1
-    _, centers, sites, _ = qualifying_clusters(box, state[None], n)
+    census = census_from_states(box, state[None], n)
+    rows = census.qualifying(n)
+    centers = census.center[rows]
+    sites, _ = census.member_sites(rows)
     diag = symmetric_difference_stat(centers, sites, shape, n, 0, delta=1.0)
     perimeter = 4 * 0.5
     tol = 2 * (1.0 / cpu) * perimeter

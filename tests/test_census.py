@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fkpoisson import census as census_mod
 from fkpoisson.census import (census_from_states, census_sampled, decay_rate,
                               estimate_px_lambda_census, label_clusters,
                               mass_center, theta_estimate)
@@ -187,6 +188,11 @@ def assert_rows_equal(census, ref):
             continue
         assert col.dtype == dtype, field
         assert col.tolist() == ref[field], field
+    # the member sites of every finite row, row by row
+    assert census.members.dtype == np.int32
+    sites, owner = census.member_sites(~census.touches)
+    assert np.bincount(owner).tolist() == [len(r) for r in ref["sites"]]
+    assert sites.tolist() == [x for r in ref["sites"] for x in r]
 
 
 def q1_draws_2d(box, p, n_samples, seed):
@@ -228,6 +234,34 @@ def test_census_q1_draw_order_across_chunks():
                                          origin=box.center), ref)
         assert_rows_equal(census_from_states(box, states, 2, box.center, bc),
                           ref)
+
+
+@pytest.mark.parametrize("bc", [FREE, WIRED])
+def test_census_members_across_label_calls(monkeypatch, bc):
+    # label calls of 7 configurations cut the 256-sample draw chunks at
+    # other places; rows and member sites do not depend on either cut
+    box = Box((-1, 3), (6, 5))
+    states = q1_draws_2d(box, 0.45, 600, 19)
+    ref = census_rows_bfs(box, states, 2, None, bc)
+    monkeypatch.setattr(census_mod, "configs_per_label_call", lambda box: 7)
+    assert_rows_equal(census_sampled(FKParams(0.45, 1.0, bc), box, 600,
+                                     seed=19, min_size=2), ref)
+    assert_rows_equal(census_from_states(box, states, 2, boundary=bc), ref)
+
+
+def test_member_sites_select_rows():
+    # a selection of finite rows gets exactly its rows' sites, ranked
+    box = Box.cube(2, 6)
+    cen = census_from_states(box, q1_draws_2d(box, 0.4, 30, 2))
+    rows = cen.qualifying(3)
+    sites, owner = cen.member_sites(rows)
+    assert np.bincount(owner).tolist() == cen.size[rows].tolist()
+    centers = [tuple(np.floor_divide(sites[owner == k].sum(axis=0),
+                                     len(sites[owner == k])).tolist())
+               for k in range(rows.sum())]
+    assert centers == [tuple(c) for c in cen.center[rows].tolist()]
+    with pytest.raises(ValueError, match="touch the boundary"):
+        cen.member_sites(cen.touches)
 
 
 @pytest.mark.parametrize("box", [Box((-4,), (9,)), Box((-2, 1), (5, 4)),

@@ -29,8 +29,7 @@ def bernoulli_states(box, p, n, seed):
 
 
 def pxy_of(box, states, n, **kwargs):
-    return estimate_pxy(census_from_states(box, states, n), states, n,
-                        **kwargs)
+    return estimate_pxy(census_from_states(box, states, n), n, **kwargs)
 
 
 def test_neighborhood_examples():
@@ -100,13 +99,13 @@ def test_estimate_pxy_matches_cluster_set_reference(box, p, n, K):
 
 
 def test_estimate_pxy_wired_matches_cluster_set_reference():
-    # the census and the relabeling of the samples holding pairs both glue
-    # the boundary; few samples hold a pair
+    # the census glues the boundary, and the member sites it keeps are
+    # those of the glued clusters; few samples hold a pair
     box = Box((0, 0), (7, 7))
     params = FKParams(0.35, 1.0, WIRED)
     cen = census_sampled(params, box, 400, seed=6, min_size=2)
     states = np.concatenate(list(state_chunks(params, box, 400, seed=6)))
-    got = estimate_pxy(cen, states, 2, K=1.0)
+    got = estimate_pxy(cen, 2, K=1.0)
     ref = estimate_pxy_sets([label_clusters_bfs(BondConfig(box, s), WIRED)
                              for s in states], box, 2, K=1.0)
     assert got.offsets == ref.offsets
@@ -165,7 +164,7 @@ def test_b1_b2_match_oracle_sums():
     states = bernoulli_states(CHAIN8, p, 60000, 8)
     cen = census_from_states(CHAIN8, states, n)
     px_hat = cen.px_field(n)
-    stats = estimate_pxy(cen, states, n)
+    stats = estimate_pxy(cen, n)
     b1_h, b2_h = compute_b1_b2(px_hat, stats, CHAIN8, n)
     assert b1_h == pytest.approx(b1_o, rel=0.1)
     assert b2_h == pytest.approx(b2_o, rel=0.25, abs=2e-4)

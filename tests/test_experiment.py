@@ -8,7 +8,7 @@ from fkpoisson.cli import main
 from fkpoisson.experiment import (ConfigError, config_hash, make_report,
                                   merge_reports, replica_seed, run,
                                   validate_config)
-from fkpoisson.fk import FKParams
+from fkpoisson.fk import FKParams, config_from_bytes
 from fkpoisson.lattice import Box
 
 
@@ -193,6 +193,12 @@ _WULFF = {"sides": [4, 4], "p": 0.5, "q": 1.0, "samples": 5, "n": 2}
     ("chenstein", dict(_CHENSTEIN, samples=1), "samples"),
     ("coupling", dict(_COUPLING, sides=[1, 1]), "sides"),
     ("coupling", dict(_COUPLING, sides=[1]), "sides"),
+    ("census", {"sides": [4, 4], "p": 0.5, "q": 1.0, "samples": 5, "n": 2,
+                "min_size": 3}, "min_size"),
+    ("sample", dict(_SAMPLE, seed=2 ** 64), "seed"),
+    ("chenstein", dict(_CHENSTEIN, seed=2 ** 70), "seed"),
+    ("decay", {"p": 0.5, "q": 1.0, "n_schedule": [2], "samples": 5,
+               "lower": [-3, -3]}, "lower"),
 ])
 def test_cli_rejects_bad_field(tmp_path, capsys, subcommand, config, field):
     cfg_path = tmp_path / "cfg.json"
@@ -202,6 +208,78 @@ def test_cli_rejects_bad_field(tmp_path, capsys, subcommand, config, field):
     assert code == 2
     assert f"config: config field {field!r}:" in capsys.readouterr().err
     assert not (tmp_path / "o" / "rep000").exists()
+
+
+def test_cli_seed_override_is_checked(tmp_path, capsys):
+    # the --seed override is a config field like any other
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_SAMPLE))
+    code = main(["sample", "--config", str(cfg_path), "--seed",
+                 str(2 ** 64), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config: config field 'seed':" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rep000").exists()
+
+
+def test_sample_keeps_the_largest_seed(tmp_path):
+    cfg = dict(_SAMPLE, seed=2 ** 64 - 1)
+    run("sample", cfg, str(tmp_path / "s"))
+    blob = open(tmp_path / "s" / "rep000" / "samples.fkc", "rb").read()
+    metas = []
+    off = 0
+    while off < len(blob):
+        ln = int.from_bytes(blob[off:off + 4], "little")
+        metas.append(config_from_bytes(blob[off + 4:off + 4 + ln])[2])
+        off += 4 + ln
+    assert metas == [{"seed": 2 ** 64 - 1, "sweep_index": i}
+                     for i in range(2)]
+
+
+def test_chenstein_wide_neighborhood_side(tmp_path):
+    # a configured box wider than the default n^2 = 4 (side 5) gets its
+    # own pair estimates, and b2 sums over all of them
+    cfg = {"sides": [8, 8], "p": 0.6, "q": 1.0, "samples": 400, "n": 2,
+           "neighborhood_side": 7, "seed": 3}
+    run("chenstein", cfg, str(tmp_path / "c"))
+    doc = json.load(open(tmp_path / "c" / "rep000" / "report.json"))
+    wide = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if i or j]
+    assert set(doc["pxy"]) == {f"{i},{j}" for i, j in wide}
+    b2 = 0.0
+    for i, j in wide:
+        b2 += doc["pxy"][f"{i},{j}"]["total"] * (8 - abs(i)) * (8 - abs(j))
+    assert doc["report"]["b2"] == b2
+    assert doc["report"]["neighborhood_side"] == 7
+    assert any(doc["pxy"][f"{i},{j}"]["total"] > 0
+               for i, j in wide if max(abs(i), abs(j)) == 3)
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("chenstein", {"sides": [8, 8], "p": 0.6, "q": 1.0, "samples": 600,
+                   "n": 2, "K": 1.0}),
+    ("wulff", {"sides": [12, 12], "p": 0.5, "q": 1.0, "samples": 300,
+               "n": 3}),
+])
+def test_each_sample_is_labeled_once(tmp_path, monkeypatch, subcommand,
+                                     config):
+    # the census labels every sample once, and the estimators read its
+    # rows and member sites instead of labeling again
+    import fkpoisson
+    from fkpoisson import fk
+    labeled = []
+    label_sites = fk.label_sites
+
+    def counting(box, states, *args, **kwargs):
+        labeled.append(len(states))
+        return label_sites(box, states, *args, **kwargs)
+
+    for name, module in list(vars(fkpoisson).items()):
+        if getattr(module, "label_sites", None) is label_sites:
+            monkeypatch.setattr(module, "label_sites", counting)
+    run(subcommand, dict(config, seed=8), str(tmp_path / "r"), replicas=2)
+    assert sum(labeled) == 2 * config["samples"]
+    if subcommand == "chenstein":
+        doc = json.load(open(tmp_path / "r" / "rep000" / "report.json"))
+        assert any(st["windowed"] > 0 for st in doc["pxy"].values())
 
 
 def test_cli_wulff_without_shape_side_needs_qualifying_clusters(tmp_path,

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkpoisson.census import label_clusters
-from fkpoisson.experiment import (_replica_states, default_f_width, replica_seed,
-                                  run, validate_config)
+from fkpoisson.census import census_from_states, label_clusters, state_chunks
+from fkpoisson.experiment import (_sampler_args, default_f_width,
+                                  replica_seed, run, validate_config)
 from fkpoisson.fk import FREE, WIRED, BondConfig, FKParams, sample_states
 from fkpoisson.lattice import Box
-from fkpoisson.wulff import (ShapeMask, empirical_shape, fatten,
-                             qualifying_clusters, renormalize, square_shape,
-                             symdiff_volume, symmetric_difference_stat)
+from fkpoisson.wulff import (ShapeMask, empirical_shape, fatten, renormalize,
+                             square_shape, symdiff_volume,
+                             symmetric_difference_stat)
 from reference_labelers import (empirical_shape_loop, point_process,
                                 renormalize_loop, scaled_fattened_loop,
                                 shape_to_bytes_loop,
@@ -22,10 +22,20 @@ from reference_labelers import (empirical_shape_loop, point_process,
                                 wulff_rows_loop)
 
 
+def qualifying_rows(box, states, n, boundary=FREE):
+    """``(sample, centers, sites, owner)`` of the finite clusters of size
+    >= n of a state array, read from its census: per cluster its sample
+    and mass center, per site its coordinates and its cluster's index."""
+    census = census_from_states(box, states, n, boundary=boundary)
+    rows = census.qualifying(n)
+    return (census.sample_id[rows], census.center[rows],
+            *census.member_sites(rows))
+
+
 def one_sample(box, state, n):
     """Distinct mass centers and sites of the qualifying clusters of one
     configuration."""
-    sample, centers, sites, owner = qualifying_clusters(box, state[None], n)
+    sample, centers, sites, owner = qualifying_rows(box, state[None], n)
     return np.unique(centers, axis=0), sites
 
 
@@ -199,7 +209,7 @@ def test_empirical_shape_identical_translates():
     for row, start in zip(states, (5, 12, 20, 28)):
         for j in range(start, start + 3):
             row[chain.bond_index[((j,), (j + 1,))]] = 1
-    sample, centers, sites, owner = qualifying_clusters(chain, states, 4)
+    sample, centers, sites, owner = qualifying_rows(chain, states, 4)
     mask = empirical_shape(sites, owner, centers, cells_per_unit=16,
                            min_count=4)
     # every cluster is a 4-site segment: the mask is that segment's cells
@@ -245,8 +255,8 @@ def test_symmetric_difference_stat_matches_loop(box, q, p, n, boundary):
         states = with_ring(box, states)
     shared = 0
     for m in (1, n):
-        sample, centers, sites, owner = qualifying_clusters(box, states, m,
-                                                            boundary)
+        sample, centers, sites, owner = qualifying_rows(box, states, m,
+                                                        boundary)
         site_sample = sample[owner]
         for i, state in enumerate(states):
             cs = label_clusters(BondConfig(box, state))
@@ -277,8 +287,8 @@ def test_empirical_shape_matches_loop(box, q, p, n, boundary):
         states = with_ring(box, states)
     sets = [label_clusters(BondConfig(box, s)) for s in states]
     for m in (1, n):
-        sample, centers, sites, owner = qualifying_clusters(box, states, m,
-                                                            boundary)
+        sample, centers, sites, owner = qualifying_rows(box, states, m,
+                                                        boundary)
         # at 2 cells per unit the cells of size-4 clusters (d = 2) and of
         # many d = 1 clusters have edges on cell centres
         for cpu in (2, 4, 16):
@@ -347,7 +357,7 @@ def test_empirical_shape_symmetric_under_flips():
     box = Box.cube(2, 12)
     states = np.array([(rng.random(box.n_bonds) < 0.45).astype(np.uint8)
                        for _ in range(60)])
-    sample, centers, sites, owner = qualifying_clusters(box, states, 3)
+    sample, centers, sites, owner = qualifying_rows(box, states, 3)
     mask = empirical_shape(sites, owner, centers, cells_per_unit=8,
                            min_count=10)
     g = mask.grid
@@ -360,8 +370,8 @@ def test_empirical_shape_symmetric_under_flips():
 def test_qualifying_clusters_match_cluster_sets(boundary):
     box = Box((-2, 5), (8, 9))
     states = random_states(box, 1.0, 0.5, 25, 2, boundary)
-    sample, centers, sites, owner = qualifying_clusters(box, states, 3,
-                                                        boundary)
+    sample, centers, sites, owner = qualifying_rows(box, states, 3,
+                                                    boundary)
     got = [(int(sample[k]), tuple(centers[k].tolist()),
             frozenset(map(tuple, sites[owner == k].tolist())))
            for k in range(len(centers))]
@@ -407,7 +417,8 @@ def test_run_wulff_rows_match_loop(tmp_path, config):
             for line in open(tmp_path / "rep000" / "wulff.jsonl")]
     box = Box(tuple(config["lower"]), tuple(config["sides"]))
     n = config["n"]
-    states = _replica_states(config, replica_seed(4, 0))
+    states = np.concatenate(list(state_chunks(
+        *_sampler_args(config, replica_seed(4, 0)))))
     cpu = config.get("cells_per_unit", 16)
     if "shape_side" in config:
         shape = square_shape(config["shape_side"], cpu, box.d)
